@@ -33,14 +33,18 @@ every run for CI smoke use.  ``--baseline PATH`` compares against a previous
 output file after running: per-run events/s deltas are printed (advisory --
 wall clock is machine-dependent), but an *event-count* difference between
 runs with identical configs is a determinism regression and fails the
-script.
+script.  The comparison exits 2 when no run was comparable (every config
+differs, e.g. ``--quick`` against a full-size baseline), and the script
+refuses to start when ``--output`` and ``--baseline`` name the same file.
+``BENCH_kernel_quick.json`` is the committed ``--quick`` baseline.
 
 Usage::
 
     python benchmarks/bench_kernel.py            # full sizes, writes BENCH_kernel.json
-    python benchmarks/bench_kernel.py --quick    # CI smoke sizes
+    python benchmarks/bench_kernel.py --quick --output BENCH_kernel_quick.json
     python benchmarks/bench_kernel.py --output /tmp/bench.json
-    python benchmarks/bench_kernel.py --quick --baseline BENCH_kernel.json
+    python benchmarks/bench_kernel.py --quick --output /tmp/quick.json \\
+        --baseline BENCH_kernel_quick.json
 """
 
 from __future__ import annotations
@@ -348,12 +352,15 @@ def compare_to_baseline(payload: Dict[str, object], baseline_path: str) -> int:
     means the simulation itself changed behaviour under the same seed -- the
     one thing this benchmark is allowed to hard-fail on.  Baselines written
     by older versions of this script have no ``config`` field; their counts
-    are skipped, not compared.
+    are skipped, not compared.  Returns the exit status: 0 when every
+    comparable run matched, 1 on an event-count mismatch, 2 when no run was
+    comparable at all (a gate that checked nothing must not pass).
     """
     with open(baseline_path) as handle:
         baseline = json.load(handle)
     baseline_runs = {run["name"]: run for run in baseline.get("runs", [])}
     failures: List[str] = []
+    compared = 0
     print(f"--- comparison vs {baseline_path} ---")
     for run in payload["runs"]:  # type: ignore[union-attr]
         name = run["name"]
@@ -370,6 +377,7 @@ def compare_to_baseline(payload: Dict[str, object], baseline_path: str) -> int:
             f"{name:>20}: {base_rate:>12,.1f} -> {rate:>12,.1f} events/s "
             f"({delta:+7.1%}){note}"
         )
+        compared += same_config
         if same_config and int(base["events"]) != int(run["events"]):
             failures.append(
                 f"{name}: event count {base['events']} -> {run['events']} "
@@ -382,7 +390,11 @@ def compare_to_baseline(payload: Dict[str, object], baseline_path: str) -> int:
         for line in failures:
             print(f"  {line}")
         return 1
-    print("event counts match on every comparable run (wall clock is advisory)")
+    if not compared:
+        print("NO COMPARABLE RUNS: every run's config differs from the baseline's, "
+              "so no event count was checked (compare --quick against a --quick baseline)")
+        return 2
+    print(f"event counts match on all {compared} comparable runs (wall clock is advisory)")
     return 0
 
 
@@ -401,6 +413,13 @@ def main(argv=None) -> int:
         "event-count mismatch on identical configs fails)",
     )
     args = parser.parse_args(argv)
+    if args.baseline and Path(args.output).resolve() == Path(args.baseline).resolve():
+        print(
+            f"--output and --baseline are the same file ({args.output}): the run would "
+            "overwrite its baseline and then compare it against itself",
+            file=sys.stderr,
+        )
+        return 2
     payload = run_benchmarks(quick=args.quick)
     with open(args.output, "w") as handle:
         json.dump(payload, handle, indent=2)

@@ -3,11 +3,14 @@
 The :class:`~repro.sim.kernel.SimulationKernel` and
 :class:`~repro.sim.events.EventBus` each carry a dormant profiler slot
 (``set_profiler``).  With no profiler installed -- the default everywhere --
-their hot paths take the exact pre-profiling branch: no ``perf_counter``
-call, no dict lookup, nothing.  With a :class:`KernelProfiler` installed the
-kernel reports every dispatched event (kind, post-pop heap depth, handler
-wall-time), every cancel and every prune, and the bus reports every publish
-(event type, subscriber fan-out, dispatch wall-time).
+their hot paths run exactly what was registered: no ``perf_counter`` call,
+no dict lookup, nothing.  Installing a :class:`KernelProfiler` on a kernel
+wraps every event handler and process ``handle`` it dispatches
+(:meth:`KernelProfiler.wrap_handler`, :meth:`KernelProfiler.wrap_process`),
+so it tallies every dispatched event (kind, heap depth after the handler,
+handler wall-time); the kernel also reports every cancel and every prune,
+and the bus reports every publish (event type, subscriber fan-out, dispatch
+wall-time).
 
 :meth:`KernelProfiler.snapshot` freezes the tallies into a
 :class:`KernelProfile` -- the record ``benchmarks/bench_kernel.py`` uses to
@@ -22,15 +25,16 @@ are (the profiler only reads).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from time import perf_counter
+from typing import Callable, Dict, List, Optional
 
 __all__ = ["KernelProfile", "KernelProfiler"]
 
 
 # Mutable tallies are bare lists, not stat objects: list item updates are the
-# cheapest mutation CPython offers, and record_event runs once per dispatched
-# kernel event.  Layout: [count, wall_s] per kind; [count, fanout, wall_s]
-# per published type.
+# cheapest mutation CPython offers, and the handler wrappers update one per
+# dispatched kernel event.  Layout: [count, wall_s] per kind; [count, fanout,
+# wall_s] per published type.
 
 
 @dataclass(frozen=True)
@@ -120,28 +124,65 @@ class KernelProfiler:
         return self
 
     # ------------------------------------------------------------------
-    # Hooks called from the kernel / bus hot paths (profiler installed only)
+    # Wrappers and hooks for the kernel / bus hot paths (profiler installed only)
     # ------------------------------------------------------------------
 
-    def record_event(self, kind: str, heap_depth: int, wall_s: float) -> None:
-        if heap_depth > self.max_heap_depth:
-            self.max_heap_depth = heap_depth
-        stats = self._by_kind.get(kind)
-        if stats is None:
-            self._by_kind[kind] = [1, wall_s]
-        else:
-            stats[0] += 1
-            stats[1] += wall_s
+    def wrap_handler(
+        self, handler: Callable, heap: list, kind: Optional[str] = None
+    ) -> Callable:
+        """``handler`` wrapped to tally its events and the heap depth after each.
 
-    def record_process(self, type_name: str, wall_s: float) -> None:
-        self.process_events += 1
-        kind = f"process:{type_name}"
-        stats = self._by_kind.get(kind)
-        if stats is None:
-            self._by_kind[kind] = [1, wall_s]
-        else:
+        With ``kind`` (a per-kind registration) the wrapper updates that
+        kind's tally directly; without it (the default handler) it looks up
+        the tally of each event's own kind.
+        """
+        by_kind = self._by_kind
+        clock = perf_counter
+
+        if kind is None:
+            def profiled(event) -> None:
+                start = clock()
+                handler(event)
+                wall_s = clock() - start
+                stats = by_kind.get(event.kind)
+                if stats is None:
+                    by_kind[event.kind] = [1, wall_s]
+                else:
+                    stats[0] += 1
+                    stats[1] += wall_s
+                depth = len(heap)
+                if depth > self.max_heap_depth:
+                    self.max_heap_depth = depth
+
+            return profiled
+
+        stats = by_kind.setdefault(kind, [0, 0.0])
+
+        def profiled_kind(event) -> None:
+            start = clock()
+            handler(event)
+            stats[1] += clock() - start
             stats[0] += 1
-            stats[1] += wall_s
+            depth = len(heap)
+            if depth > self.max_heap_depth:
+                self.max_heap_depth = depth
+
+        return profiled_kind
+
+    def wrap_process(self, process) -> Callable:
+        """``process.handle`` wrapped to tally wakeups under ``process:<TypeName>``."""
+        handle = process.handle
+        stats = self._by_kind.setdefault(f"process:{type(process).__name__}", [0, 0.0])
+        clock = perf_counter
+
+        def profiled(now: float) -> None:
+            start = clock()
+            handle(now)
+            stats[1] += clock() - start
+            stats[0] += 1
+            self.process_events += 1
+
+        return profiled
 
     def record_cancel(self) -> None:
         self.cancels += 1
@@ -175,9 +216,11 @@ class KernelProfiler:
             cancels=self.cancels,
             prunes=self.prunes,
             max_heap_depth=self.max_heap_depth,
+            # Kinds registered but never dispatched hold a zero tally.
             by_kind={
                 kind: {"count": float(s[0]), "wall_s": s[1]}
                 for kind, s in self._by_kind.items()
+                if s[0]
             },
             publishes={
                 name: {"count": float(s[0]), "fanout": float(s[1]), "wall_s": s[2]}

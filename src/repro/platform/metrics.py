@@ -127,11 +127,6 @@ class FailedRequest:
     #: retry loop stretches its backoff to at least this value.
     retry_after_s: float = 0.0
 
-    @property
-    def waiting_s(self) -> float:
-        """How long the request waited before the platform failed it."""
-        return self.failed_s - self.arrival_s
-
 
 @dataclass
 class SimulationMetrics:
@@ -246,11 +241,6 @@ class SimulationMetrics:
     def gave_up_requests(self) -> int:
         """Terminal failures: the client exhausted its attempts or budget."""
         return sum(1 for f in self.failures if f.gave_up)
-
-    @property
-    def latency_sum_s(self) -> float:
-        """Sum of end-to-end latencies, accumulated in completion order."""
-        return self._latency_sum
 
     @property
     def service_floor_sum_s(self) -> float:

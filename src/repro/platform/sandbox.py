@@ -116,10 +116,6 @@ class Sandbox:
         """Total admitted requests (executing plus waiting) -- the platform's view."""
         return len(self.executing) + len(self.waiting)
 
-    @property
-    def is_available(self) -> bool:
-        return self.state in (SandboxState.BUSY, SandboxState.IDLE)
-
     def mark_ready(self, now_s: float) -> None:
         """Initialisation finished; the sandbox can accept requests."""
         if self.state is not SandboxState.INITIALIZING:

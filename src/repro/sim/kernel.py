@@ -7,20 +7,22 @@ participants coexist:
   time.  A monotonically increasing sequence number breaks time ties, so two
   events scheduled for the same instant always fire in scheduling order --
   this is what makes runs deterministic regardless of heap internals.
-- **Polled processes**: objects that compute their own next event time on
-  demand (e.g. the CPU-bandwidth scheduler, whose next event depends on
-  mutable state such as remaining quota).  The kernel asks each registered
-  process for its next event time and interleaves it with the heap.
+- **Polled processes**: objects that compute their own next event time
+  (e.g. the CPU-bandwidth scheduler, whose next event depends on mutable
+  state such as remaining quota).  The kernel asks a process for
+  ``next_event_time`` only when it is registered and right after each of
+  its own ``handle`` calls, and keeps the answer as a wakeup entry on a
+  second heap keyed ``(time, registration rank)``.  A process's wake time
+  may therefore change only inside its own ``handle``; a process that
+  answers ``None`` is never woken again.
 
-The clock never moves backwards: it advances to ``max(now, event.time)`` when
-an event fires.  ``peek``/``step``/``pause`` let a host embed the kernel in a
-larger co-simulation and advance it one event at a time.
-
-``run`` is the hot path: it fuses the prune/poll/pick/dispatch cycle that
-``peek`` + ``step`` would otherwise each repeat per event, so a
-million-event run does each piece of bookkeeping exactly once per event.
-The event *order* it produces is identical to repeated ``step()`` calls --
-the determinism contract every replay-fingerprint test pins down.
+At equal times heap events fire before process wakeups, and among processes
+registration order breaks ties.  The clock never moves backwards: it
+advances to ``max(now, time)`` when an event or wakeup fires.
+``peek``/``step``/``pause`` let a host embed the kernel in a larger
+co-simulation and advance it one event at a time; ``run`` is the hot path
+and produces the same order as repeated ``step()`` calls -- the determinism
+contract every replay-fingerprint test pins down.
 
 Bulk producers (the batched arrival streams of :mod:`repro.sim.arrivals`)
 use :meth:`SimulationKernel.reserve_seqs` + :meth:`schedule_at_seq` to hold
@@ -32,14 +34,9 @@ had all been pushed eagerly before the run started.
 from __future__ import annotations
 
 import heapq
-from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple, runtime_checkable
 
 __all__ = ["Event", "PeriodicProcess", "SimProcess", "SimulationKernel"]
-
-#: Poll result when no process is pending; shared so the common
-#: no-processes case never allocates.
-_NO_PROCESS: Tuple[None, float] = (None, float("inf"))
 
 
 class Event:
@@ -77,9 +74,12 @@ class Event:
 class SimProcess(Protocol):
     """A co-simulated component that computes its own next event time.
 
-    The kernel polls ``next_event_time`` to find the process's next event and
-    calls ``handle`` once the clock has advanced there.  Returning ``None``
-    means the process currently has nothing to do.
+    The kernel consults ``next_event_time`` when the process is registered
+    and right after each ``handle`` call, never in between: the answer may
+    depend on the process's state, but that state may change only inside
+    its own ``handle``.  ``handle`` is called once the clock has advanced to
+    the answered time.  Returning ``None`` means the process has nothing
+    left to do; it is then never woken again.
     """
 
     def next_event_time(self, now: float) -> Optional[float]:
@@ -129,23 +129,53 @@ class SimulationKernel:
         self._heap: List[Tuple[float, int, Event]] = []
         self._seq_next = 0
         self._now = float(start_s)
+        #: Handlers as registered through on() / on_default().
+        self._registered: Dict[str, Callable[[Event], None]] = {}
+        self._registered_default: Optional[Callable[[Event], None]] = None
+        #: What the loop dispatches: the registered handlers, or their
+        #: profiled wrappers while a profiler is installed.  Updated in place,
+        #: so a loop that hoisted the dict sees every change.
         self._handlers: Dict[str, Callable[[Event], None]] = {}
         self._default_handler: Optional[Callable[[Event], None]] = None
+        #: Registered processes; a process's index is its registration rank.
         self._processes: List[SimProcess] = []
+        #: Per rank: what the kernel calls to wake the process (its
+        #: ``handle``, or a profiled wrapper of it) and its ``periodic`` flag.
+        self._process_handles: List[Callable[[float], None]] = []
+        self._periodic: List[bool] = []
+        #: Min-heap of (wake time, rank, process): at most one entry per
+        #: process.  Ranks are unique, so sifts never compare the processes.
+        self._wakeups: List[Tuple[float, int, SimProcess]] = []
+        #: Entries on ``_wakeups`` owned by non-periodic processes.
+        self._nonperiodic_wakeups = 0
         self._paused = False
-        # Memoised result of the last peek(): (best process or None, its time).
-        # Polling a process's next_event_time can be expensive (the scheduler
-        # engine scans tasks, grids and quota budgets), and the peek/step pair
-        # used by run loops would otherwise poll twice per event.  Invalidated
-        # by schedule/cancel/add_process and consumed by step().
-        self._poll_cache: Optional[Tuple[Optional[SimProcess], float]] = None
-        # Dormant profiling slot (see repro.obs.profile): None keeps step(),
-        # cancel() and _prune() on the exact pre-profiling paths.
+        # Dormant profiling slot (see repro.obs.profile): None dispatches the
+        # registered callables themselves, with nothing wrapped around them.
         self._profiler = None
 
     def set_profiler(self, profiler) -> None:
-        """Install an opt-in event profiler (``None`` restores the fast path)."""
+        """Install an opt-in event profiler (``None`` restores the bare callables).
+
+        Profiling wraps every registered handler and process ``handle``, now
+        and on later registration, so the run loop is the same either way.
+        """
         self._profiler = profiler
+        for kind, handler in self._registered.items():
+            self._handlers[kind] = self._dispatched(handler, kind)
+        if self._registered_default is not None:
+            self._default_handler = self._dispatched(self._registered_default)
+        for rank, process in enumerate(self._processes):
+            self._process_handles[rank] = self._woken(process)
+
+    def _dispatched(
+        self, handler: Callable[[Event], None], kind: Optional[str] = None
+    ) -> Callable[[Event], None]:
+        profiler = self._profiler
+        return handler if profiler is None else profiler.wrap_handler(handler, self._heap, kind)
+
+    def _woken(self, process: SimProcess) -> Callable[[float], None]:
+        profiler = self._profiler
+        return process.handle if profiler is None else profiler.wrap_process(process)
 
     # ------------------------------------------------------------------
     # Clock and registration
@@ -158,16 +188,32 @@ class SimulationKernel:
 
     def on(self, kind: str, handler: Callable[[Event], None]) -> None:
         """Register the handler for events of ``kind`` (one handler per kind)."""
-        self._handlers[kind] = handler
+        self._registered[kind] = handler
+        self._handlers[kind] = self._dispatched(handler, kind)
 
     def on_default(self, handler: Callable[[Event], None]) -> None:
         """Handler for kinds with no specific registration."""
-        self._default_handler = handler
+        self._registered_default = handler
+        self._default_handler = self._dispatched(handler)
 
     def add_process(self, process: SimProcess) -> None:
-        """Register a polled co-simulation process (kept in registration order)."""
+        """Register a polled co-simulation process and queue its first wakeup.
+
+        Registration order is the tie-break rank among processes.
+        """
+        rank = len(self._processes)
         self._processes.append(process)
-        self._poll_cache = None
+        self._process_handles.append(self._woken(process))
+        self._periodic.append(bool(getattr(process, "periodic", False)))
+        self._arm(rank, process)
+
+    def _arm(self, rank: int, process: SimProcess) -> None:
+        """Ask ``process`` for its next event time and queue that wakeup."""
+        wake_s = process.next_event_time(self._now)
+        if wake_s is not None:
+            _heappush(self._wakeups, (wake_s, rank, process))
+            if not self._periodic[rank]:
+                self._nonperiodic_wakeups += 1
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -195,7 +241,6 @@ class SimulationKernel:
         event.data = _EMPTY_DATA if data is None else data
         event.cancelled = False
         _heappush(self._heap, (time_s, seq, event))
-        self._poll_cache = None
         return event
 
     def schedule_in(self, delay_s: float, kind: str, data: Optional[Dict[str, Any]] = None) -> Event:
@@ -214,7 +259,6 @@ class SimulationKernel:
         event.data = _EMPTY_DATA if data is None else data
         event.cancelled = False
         _heappush(self._heap, (time_s, seq, event))
-        self._poll_cache = None
         return event
 
     def reserve_seqs(self, count: int) -> int:
@@ -256,13 +300,11 @@ class SimulationKernel:
         event.data = _EMPTY_DATA if data is None else data
         event.cancelled = False
         _heappush(self._heap, (time_s, seq, event))
-        self._poll_cache = None
         return event
 
     def cancel(self, event: Event) -> None:
         """Mark a scheduled event as cancelled; it is skipped when popped."""
         event.cancelled = True
-        self._poll_cache = None
         if self._profiler is not None:
             self._profiler.record_cancel()
 
@@ -272,47 +314,23 @@ class SimulationKernel:
 
     def _prune(self) -> None:
         heap = self._heap
-        if self._profiler is None:
-            while heap and heap[0][2].cancelled:
-                heapq.heappop(heap)
-            return
         pruned = 0
         while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
             pruned += 1
-        if pruned:
+        if pruned and self._profiler is not None:
             self._profiler.record_prunes(pruned)
-
-    def _poll_processes(self) -> Tuple[Optional[SimProcess], float]:
-        """The registered process with the earliest next event (cached until consumed)."""
-        cache = self._poll_cache
-        if cache is None:
-            if not self._processes:
-                cache = _NO_PROCESS
-            else:
-                best: Optional[SimProcess] = None
-                best_time = float("inf")
-                for process in self._processes:
-                    t = process.next_event_time(self._now)
-                    if t is not None and t < best_time:
-                        best = process
-                        best_time = t
-                cache = (best, best_time)
-            self._poll_cache = cache
-        return cache
 
     def peek(self) -> Optional[float]:
         """Time of the next event (heap or process) without executing it."""
         self._prune()
-        process, process_time = self._poll_processes()
         heap_time = self._heap[0][0] if self._heap else None
-        if heap_time is None and process is None:
-            return None
-        if process is None:
-            return heap_time
+        wake_time = self._wakeups[0][0] if self._wakeups else None
         if heap_time is None:
-            return process_time
-        return min(heap_time, process_time)
+            return wake_time
+        if wake_time is None:
+            return heap_time
+        return min(heap_time, wake_time)
 
     def step(self) -> Optional[Event]:
         """Execute the single next event.
@@ -324,68 +342,43 @@ class SimulationKernel:
         processes; among processes, registration order breaks ties.
         """
         self._prune()
-        process, process_time = self._poll_processes()
-        heap_time = self._heap[0][0] if self._heap else None
-        if heap_time is None and process is None:
-            return None
-        if process is None or (heap_time is not None and heap_time <= process_time):
-            return self._dispatch_heap_event()
-        self._dispatch_process(process, process_time)
-        return Event(self._now, -1, "process", {"process": process})
-
-    def _dispatch_heap_event(self) -> Event:
-        """Pop and dispatch the head heap event (already pruned)."""
         heap = self._heap
-        event = heapq.heappop(heap)[2]
-        self._poll_cache = None
-        if event.time > self._now:
-            self._now = event.time
-        handler = self._handlers.get(event.kind, self._default_handler)
-        if handler is None:
-            raise KeyError(f"no handler registered for event kind {event.kind!r}")
-        profiler = self._profiler
-        if profiler is None:
-            handler(event)
-        else:
-            start = perf_counter()
-            handler(event)
-            profiler.record_event(event.kind, len(heap), perf_counter() - start)
-        return event
+        wakeups = self._wakeups
+        if heap and (not wakeups or heap[0][0] <= wakeups[0][0]):
+            event = heapq.heappop(heap)[2]
+            if event.time > self._now:
+                self._now = event.time
+            self._handler_for(event.kind)(event)
+            return event
+        if wakeups:
+            process = self._wake_next()
+            return Event(self._now, -1, "process", {"process": process})
+        return None
 
-    def _dispatch_process(self, process: SimProcess, process_time: float) -> None:
-        """Advance the clock to a polled process's event and let it handle it."""
-        self._poll_cache = None
-        # Hand the process the *raw* polled time: a process whose
+    def _handler_for(self, kind: str) -> Callable[[Event], None]:
+        handler = self._handlers.get(kind, self._default_handler)
+        if handler is None:
+            raise KeyError(f"no handler registered for event kind {kind!r}")
+        return handler
+
+    def _wake_next(self) -> SimProcess:
+        """Pop the earliest process wakeup, let it handle it, and re-arm it."""
+        wake_s, rank, process = heapq.heappop(self._wakeups)
+        if not self._periodic[rank]:
+            self._nonperiodic_wakeups -= 1
+        # Hand the process its *raw* wake time: a process whose
         # next_event_time regressed behind the clock must get the chance to
         # detect it (the scheduler engine raises on backwards time) rather
         # than having the kernel silently clamp the error away.
-        if process_time > self._now:
-            self._now = process_time
-        profiler = self._profiler
-        if profiler is None:
-            process.handle(process_time)
-        else:
-            start = perf_counter()
-            process.handle(process_time)
-            profiler.record_process(type(process).__name__, perf_counter() - start)
+        if wake_s > self._now:
+            self._now = wake_s
+        self._process_handles[rank](wake_s)
+        self._arm(rank, process)
+        return process
 
     def pause(self) -> None:
         """Stop the current ``run`` after the in-flight event (for co-simulation)."""
         self._paused = True
-
-    def _only_periodic_pending(self) -> bool:
-        """True when the heap is empty and every pending process tick is periodic.
-
-        An unbounded ``run()`` must still terminate for simulators that carry
-        periodic processes (autoscaler ticks, fleet samplers) -- those tick
-        forever by design, so once nothing else is pending there is no more
-        work to do.
-        """
-        self._prune()
-        if self._heap:
-            return False
-        pending = [p for p in self._processes if p.next_event_time(self._now) is not None]
-        return bool(pending) and all(getattr(p, "periodic", False) for p in pending)
 
     def run(
         self,
@@ -400,157 +393,63 @@ class SimulationKernel:
         returns true after an event, or :meth:`pause` was called from a
         handler.  Events beyond ``until`` stay queued for a later ``run``.
         Without an ``until`` bound, the run also stops once only *periodic*
-        processes (see :class:`PeriodicProcess`) have pending ticks -- they
+        processes (see :class:`PeriodicProcess`) have pending wakeups -- they
         never drain on their own.
 
-        This is the hot loop: prune, poll, pick and dispatch are fused into
-        one pass per event (``peek()`` + ``step()`` would each redo the first
-        two).  Kernels with no polled processes -- the overwhelmingly common
-        shape -- run a further-specialized inner loop with the prune, bound
-        check and dispatch inlined.  Event order is identical to stepping
-        one event at a time.
+        One loop serves every kernel shape: each pass compares the event-heap
+        head with the wakeup-heap head, so its cost does not grow with the
+        number of registered processes.  Event order is identical to
+        stepping one event at a time.
         """
         self._paused = False
+        if max_events is not None and max_events <= 0:
+            return 0
+        limit = -1 if max_events is None else max_events
+        horizon = _INF if until is None else until
         executed = 0
         heap = self._heap
+        wakeups = self._wakeups
+        handlers = self._handlers
         heappop = heapq.heappop
-        heappush = heapq.heappush
         while True:
-            if max_events is not None and executed >= max_events:
-                break
-            if not self._processes:
-                # Fast loop: nothing to poll, so the next event is always the
-                # heap head.  The head is popped *before* the ``until`` bound
-                # check and re-pushed in the (at most once per run) case where
-                # it lies beyond the bound -- cheaper than peeking every
-                # event.  Falls back to the general loop only if a handler
-                # registers a process mid-run (which also invalidates the
-                # hoisted profiler/handler locals, so they are re-read).
-                handlers = self._handlers
-                processes = self._processes
-                profiler = self._profiler
-                unbounded = max_events is None
-                if profiler is None:
-                    while heap:
-                        head = heappop(heap)
-                        event = head[2]
-                        if event.cancelled:
-                            continue
-                        time_s = head[0]
-                        if until is not None and time_s > until:
-                            heappush(heap, head)
-                            return executed
-                        if time_s > self._now:
-                            self._now = time_s
-                        handler = handlers.get(event.kind)
-                        if handler is None:
-                            handler = self._default_handler
-                            if handler is None:
-                                raise KeyError(
-                                    f"no handler registered for event kind {event.kind!r}"
-                                )
-                        handler(event)
-                        executed += 1
-                        if not unbounded and executed >= max_events:
-                            return executed
-                        if self._paused:
-                            return executed
-                        if stop is not None and stop():
-                            return executed
-                        if processes:
-                            break
-                    else:
-                        return executed
-                    continue
-                # Profiled twin of the loop above: the per-event tally is
-                # inlined (dict get + list update on the profiler's own
-                # stores) because a record_event() call per event costs more
-                # than the tally itself.  The heap-depth maximum runs on a
-                # local and is merged back in the ``finally`` so every exit
-                # path (including handler exceptions) leaves the profiler
-                # consistent.
-                by_kind = profiler._by_kind
-                stats_of = by_kind.get
-                max_depth = profiler.max_heap_depth
-                try:
-                    while heap:
-                        head = heappop(heap)
-                        event = head[2]
-                        if event.cancelled:
-                            profiler.prunes += 1
-                            continue
-                        time_s = head[0]
-                        if until is not None and time_s > until:
-                            heappush(heap, head)
-                            return executed
-                        if time_s > self._now:
-                            self._now = time_s
-                        kind = event.kind
-                        handler = handlers.get(kind)
-                        if handler is None:
-                            handler = self._default_handler
-                            if handler is None:
-                                raise KeyError(
-                                    f"no handler registered for event kind {kind!r}"
-                                )
-                        start = perf_counter()
-                        handler(event)
-                        wall_s = perf_counter() - start
-                        stats = stats_of(kind)
-                        if stats is None:
-                            by_kind[kind] = [1, wall_s]
-                        else:
-                            stats[0] += 1
-                            stats[1] += wall_s
-                        depth = len(heap)
-                        if depth > max_depth:
-                            max_depth = depth
-                        executed += 1
-                        if not unbounded and executed >= max_events:
-                            return executed
-                        if self._paused:
-                            return executed
-                        if stop is not None and stop():
-                            return executed
-                        if processes:
-                            break
-                    else:
-                        return executed
-                finally:
-                    if max_depth > profiler.max_heap_depth:
-                        profiler.max_heap_depth = max_depth
-                continue
-            self._prune()
-            process, process_time = self._poll_processes()
             if heap:
-                head_time = heap[0][0]
-                if process is None or head_time <= process_time:
-                    next_time, next_is_heap = head_time, True
-                else:
-                    next_time, next_is_heap = process_time, False
-            elif process is not None:
-                next_time, next_is_heap = process_time, False
+                head = heap[0]
+                event = head[2]
+                if event.cancelled:
+                    heappop(heap)
+                    if self._profiler is not None:
+                        self._profiler.record_prunes(1)
+                    continue
+                time_s = head[0]
+                is_event = not wakeups or time_s <= wakeups[0][0]
+            elif wakeups and (until is not None or self._nonperiodic_wakeups):
+                is_event = False
             else:
                 break
-            if until is not None:
-                if next_time > until:
+            if is_event:
+                if time_s > horizon:
                     break
-            elif not heap and self._only_periodic_pending():
-                break
-            if next_is_heap:
-                self._dispatch_heap_event()
+                heappop(heap)
+                if time_s > self._now:
+                    self._now = time_s
+                handler = handlers.get(event.kind)
+                if handler is None:
+                    handler = self._handler_for(event.kind)
+                handler(event)
             else:
-                self._dispatch_process(process, process_time)  # type: ignore[arg-type]
+                if wakeups[0][0] > horizon:
+                    break
+                self._wake_next()
             executed += 1
-            if self._paused:
-                break
-            if stop is not None and stop():
+            if executed == limit or self._paused or (stop is not None and stop()):
                 break
         return executed
 
 
 #: Shared payload for bulk-scheduled events with no data.  Never mutate.
 _EMPTY_DATA: Dict[str, Any] = {}
+
+_INF = float("inf")
 
 #: Hot-path aliases: module-level loads are cheaper than attribute chains
 #: inside the per-event scheduling methods.

@@ -141,14 +141,6 @@ def build_grid(
     return scenarios
 
 
-def _run_indexed_scenario(
-    indexed: "Tuple[int, Scenario]",
-) -> "Tuple[int, List[Dict[str, object]]]":
-    """Index-tagging worker shim (legacy; backends now return full outcomes)."""
-    index, scenario = indexed
-    return index, run_scenario(scenario)
-
-
 def run_sweep(
     scenarios: Sequence[Scenario],
     processes: Optional[int] = None,

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
-import pytest
+import heapq
 
-from repro.sim.kernel import Event, SimulationKernel
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.obs.profile import KernelProfiler
+from repro.sim.kernel import Event, PeriodicProcess, SimulationKernel
 
 
 def collect(kernel, kinds):
@@ -243,3 +248,280 @@ class TestPeriodicProcess:
 
         with pytest.raises(ValueError):
             PeriodicProcess(0.0, lambda now: None)
+
+
+class TestWakeupContract:
+    def test_next_event_time_is_asked_at_registration_and_after_each_handle_only(self):
+        kernel = SimulationKernel()
+        kernel.on("heap", lambda event: None)
+        for t in (0.5, 1.0, 1.25, 2.0, 2.5):
+            kernel.schedule(t, "heap")
+        process = _CountdownProcess([1.0, 2.0, 3.0])
+        polls = []
+        poll = process.next_event_time
+        process.next_event_time = lambda now: polls.append(now) or poll(now)
+        kernel.add_process(process)
+        assert polls == [0.0]
+        kernel.run()
+        # One poll per handle (the last answers None), none per heap event.
+        assert polls == [0.0, 1.0, 2.0, 3.0]
+        assert process.fired == [1.0, 2.0, 3.0]
+
+    def test_process_answering_none_is_never_woken_again(self):
+        kernel = SimulationKernel()
+        process = _CountdownProcess([])
+        kernel.add_process(process)
+        process.remaining.append(1.0)  # too late: the state did not change in handle
+        assert kernel.peek() is None
+        assert kernel.run() == 0
+        assert process.fired == []
+
+    def test_profiler_installed_after_registration_wraps_existing_entries(self):
+        kernel = SimulationKernel()
+        kernel.on("a", lambda event: None)
+        kernel.on_default(lambda event: None)
+        kernel.add_process(_CountdownProcess([1.5]))
+        profiler = KernelProfiler().install(kernel)
+        kernel.schedule(1.0, "a")
+        kernel.schedule(2.0, "other")
+        assert kernel.run() == 3
+        profile = profiler.snapshot()
+        assert profile.count_of("a") == profile.count_of("other") == 1
+        assert profile.count_of("process:_CountdownProcess") == profile.process_events == 1
+        kernel.set_profiler(None)
+        kernel.schedule(3.0, "a")
+        kernel.run()
+        assert profiler.snapshot().count_of("a") == 1
+
+
+# ----------------------------------------------------------------------
+# Equivalence with a brute-force kernel that polls every process per event
+# ----------------------------------------------------------------------
+
+
+class _PollingKernel:
+    """Reference semantics: every process is polled before every event.
+
+    Heap events win exact-time ties against processes, and among processes
+    the first registered wins.  Without an ``until`` bound a run stops once
+    the heap is empty and every pending process is periodic.
+    """
+
+    def __init__(self):
+        self._heap = []
+        self._seq = 0
+        self._now = 0.0
+        self._handlers = {}
+        self._default = None
+        self._processes = []
+        self._paused = False
+
+    @property
+    def now(self):
+        return self._now
+
+    def on(self, kind, handler):
+        self._handlers[kind] = handler
+
+    def on_default(self, handler):
+        self._default = handler
+
+    def add_process(self, process):
+        self._processes.append(process)
+
+    def schedule(self, time_s, kind, data=None):
+        event = Event(float(time_s), self._seq, kind, {} if data is None else data)
+        self._seq += 1
+        heapq.heappush(self._heap, (event.time, event.seq, event))
+        return event
+
+    def schedule_in(self, delay_s, kind, data=None):
+        return self.schedule(self._now + delay_s, kind, data)
+
+    def cancel(self, event):
+        event.cancelled = True
+
+    def pause(self):
+        self._paused = True
+
+    def _next(self):
+        while self._heap and self._heap[0][2].cancelled:
+            heapq.heappop(self._heap)
+        best, best_time = None, float("inf")
+        for process in self._processes:
+            t = process.next_event_time(self._now)
+            if t is not None and t < best_time:
+                best, best_time = process, t
+        if self._heap and (best is None or self._heap[0][0] <= best_time):
+            return self._heap[0][0], None
+        return (best_time, best) if best is not None else (None, None)
+
+    def _fire(self, time_s, process):
+        self._now = max(self._now, time_s)
+        if process is not None:
+            process.handle(time_s)
+            return Event(self._now, -1, "process", {"process": process})
+        event = heapq.heappop(self._heap)[2]
+        self._handlers.get(event.kind, self._default)(event)
+        return event
+
+    def peek(self):
+        return self._next()[0]
+
+    def step(self):
+        time_s, process = self._next()
+        return None if time_s is None else self._fire(time_s, process)
+
+    def run(self, until=None, max_events=None, stop=None):
+        self._paused = False
+        executed = 0
+        while max_events is None or executed < max_events:
+            time_s, process = self._next()
+            if time_s is None or (until is not None and time_s > until):
+                break
+            if until is None and not self._heap:
+                pending = [p for p in self._processes if p.next_event_time(self._now) is not None]
+                if all(getattr(p, "periodic", False) for p in pending):
+                    break
+            self._fire(time_s, process)
+            executed += 1
+            if self._paused or (stop is not None and stop()):
+                break
+        return executed
+
+
+class _StatefulProcess:
+    """Non-periodic process whose next wake moves only inside its own handle."""
+
+    def __init__(self, log, name, start_s, delays):
+        self._log = log
+        self._name = name
+        self._next_s = start_s
+        self._delays = list(delays)
+
+    def next_event_time(self, now):
+        return self._next_s
+
+    def handle(self, now):
+        self._log.append((self._name, now))
+        self._next_s = now + self._delays.pop(0) if self._delays else None
+
+
+#: A coarse time grid so heap events, periodic grids and process wakeups collide.
+_TIMES = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.5])
+_DELAYS = st.sampled_from([0.0, 0.5, 1.0, 2.5])
+_PROCESS = st.one_of(
+    st.tuples(st.just("periodic"), st.sampled_from([0.5, 1.0, 1.5, 2.0]), st.sampled_from([0.0, 0.5, 1.0])),
+    st.tuples(st.just("stateful"), _TIMES, st.lists(_DELAYS, max_size=4)),
+)
+_ACTION = st.one_of(
+    st.tuples(st.just("schedule"), _DELAYS, st.sampled_from(["a", "b", "c"])),
+    st.tuples(st.just("cancel"), st.integers(0, 40)),
+    st.tuples(st.just("pause")),
+    st.tuples(st.just("add_process"), _PROCESS),
+)
+_DRIVE = st.one_of(
+    st.tuples(st.just("schedule"), _TIMES, st.sampled_from(["a", "b", "c"])),
+    st.tuples(st.just("cancel"), st.integers(0, 40)),
+    st.tuples(st.just("add_process"), _PROCESS),
+    st.tuples(
+        st.just("run"),
+        st.one_of(st.none(), _TIMES, st.just(6.0)),
+        st.one_of(st.none(), st.integers(0, 6)),
+        st.one_of(st.none(), st.integers(1, 30)),
+    ),
+    st.tuples(st.just("step")),
+    st.tuples(st.just("peek")),
+)
+
+
+class _Scenario:
+    """Drives one kernel through a generated program; records what it saw."""
+
+    MAX_SCHEDULED = 60
+
+    def __init__(self, kernel, actions):
+        self.kernel = kernel
+        self.actions = actions
+        self.log = []
+        self.handles = []
+        self.processes = 0
+        kernel.on("a", self._fire)
+        kernel.on("b", self._fire)
+        kernel.on_default(self._fire)  # kind "c"
+
+    def _fire(self, event):
+        self.log.append(("event", event.data["id"], event.time, self.kernel.now))
+        for action in self.actions[event.data["id"] % len(self.actions)]:
+            self.apply(action)
+
+    def _schedule(self, time_s, kind, relative):
+        if len(self.handles) >= self.MAX_SCHEDULED:
+            return
+        data = {"id": len(self.handles)}
+        schedule = self.kernel.schedule_in if relative else self.kernel.schedule
+        self.handles.append(schedule(time_s, kind, data))
+
+    def _add_process(self, spec):
+        name = f"p{self.processes}"
+        self.processes += 1
+        if spec[0] == "periodic":
+            log = self.log
+            process = PeriodicProcess(
+                spec[1], lambda now: log.append((name, now)), start_s=spec[2]
+            )
+        else:
+            process = _StatefulProcess(self.log, name, spec[1], spec[2])
+        self.kernel.add_process(process)
+
+    def apply(self, action):
+        op = action[0]
+        if op == "schedule":
+            self._schedule(action[1], action[2], relative=True)
+        elif op == "cancel":
+            if self.handles:
+                self.kernel.cancel(self.handles[action[1] % len(self.handles)])
+        elif op == "pause":
+            self.kernel.pause()
+        elif op == "add_process":
+            self._add_process(action[1])
+
+    def drive(self, program):
+        kernel = self.kernel
+        results = []
+        for op in program + [("run", 8.0, None, None), ("run", None, None, None)]:
+            if op[0] == "schedule":
+                self._schedule(op[1], op[2], relative=False)
+            elif op[0] == "run":
+                _, until, max_events, stop_at = op
+                stop = None if stop_at is None else (lambda n=stop_at: len(self.log) >= n)
+                results.append(("run", kernel.run(until=until, max_events=max_events, stop=stop)))
+            elif op[0] == "step":
+                event = kernel.step()
+                results.append(("step", None if event is None else (event.kind, event.time)))
+            elif op[0] == "peek":
+                results.append(("peek", kernel.peek()))
+            else:
+                self.apply(op)
+            results.append(("now", kernel.now))
+        return self.log, results
+
+
+class TestEquivalenceWithPollingKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        program=st.lists(_DRIVE, min_size=1, max_size=14),
+        actions=st.lists(st.lists(_ACTION, max_size=3), min_size=1, max_size=8),
+        profiled=st.booleans(),
+    )
+    def test_same_dispatch_sequence_clock_and_counts(self, program, actions, profiled):
+        expected = _Scenario(_PollingKernel(), actions).drive(program)
+        kernel = SimulationKernel()
+        profiler = KernelProfiler().install(kernel) if profiled else None
+        actual = _Scenario(kernel, actions).drive(program)
+        assert actual == expected
+        if profiler is not None:
+            log = actual[0]
+            profile = profiler.snapshot()
+            assert profile.events_total == len(log)
+            assert profile.process_events == sum(1 for entry in log if entry[0] != "event")
