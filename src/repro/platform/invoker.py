@@ -26,6 +26,7 @@ keep-alive expiry, eviction), which is what the fleet placement layer
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
@@ -66,6 +67,11 @@ _DENY = AdmissionDecision.DENY
 
 _EPS = 1e-9
 _INF = float("inf")
+
+#: The ready pool is rebuilt from the registry once it holds more than this
+#: many entries per live sandbox, so stale entries never outnumber live
+#: sandboxes by more than a constant factor.
+_POOL_REBUILD_FACTOR = 4
 
 #: Event kinds the simulator schedules on the kernel; the autoscaler is a
 #: polled kernel process (:class:`repro.platform.autoscaler.AutoscalerProcess`)
@@ -147,9 +153,16 @@ class PlatformSimulator:
         self._kind_completion = self._kind("completion")
         self._kind_keepalive_expire = self._kind("keepalive_expire")
         #: Live sandbox registry: terminated sandboxes are discarded on the
-        #: spot (:meth:`_discard_sandbox`), so routing scans stay O(alive)
-        #: and memory stays bounded over million-request runs.
+        #: spot (:meth:`_discard_sandbox`), so it holds exactly the alive
+        #: sandboxes and memory stays bounded over million-request runs.
         self._sandboxes: Dict[str, Sandbox] = {}
+        #: Ready pool: a lazily validated min-heap of ``(concurrency, name)``.
+        #: Invariant: every ready sandbox below the concurrency limit has an
+        #: entry equal to its current ``(concurrency, name)``; any other entry
+        #: is stale (its sandbox is gone or its concurrency moved) and is
+        #: dropped when it reaches the head (:meth:`_pick_sandbox`).
+        self._ready_pool: List[Tuple[int, str]] = []
+        self._concurrency_limit = platform.concurrency.max_concurrency
         #: Ingress FIFO: (arrival time, request id, attempts, retry wait,
         #: first-attempt arrival time).
         self._queue: Deque[Tuple[float, str, int, float, float]] = deque()
@@ -278,7 +291,7 @@ class PlatformSimulator:
         instant -- the invariant the cross-layer conservation test suite
         checks on every configuration.
         """
-        return sum(s.concurrency for s in self._alive_sandboxes())
+        return sum(s.concurrency for s in self._sandboxes.values())
 
     # ------------------------------------------------------------------
     # Event plumbing and instrumentation
@@ -300,11 +313,8 @@ class PlatformSimulator:
     def _publish_instance_count(self) -> None:
         self.bus.publish(InstanceCountChanged(self._now, self._instance_count()))
 
-    def _alive_sandboxes(self) -> List[Sandbox]:
-        return [s for s in self._sandboxes.values() if s.state is not SandboxState.TERMINATED]
-
     def _instance_count(self) -> int:
-        return len(self._alive_sandboxes())
+        return len(self._sandboxes)
 
     # ------------------------------------------------------------------
     # Arrival and routing
@@ -442,7 +452,7 @@ class PlatformSimulator:
             self._admit(sandbox, request_id, arrival_s, cold=False,
                         attempts=attempts, retry_wait_s=retry_wait_s, origin_s=origin_s)
             return
-        if self.platform.concurrency.is_single or not self._alive_sandboxes():
+        if self.platform.concurrency.is_single or not self._sandboxes:
             # Single-concurrency platforms provision a fresh sandbox per excess
             # request; multi-concurrency platforms also cold-start when scaled
             # to zero.
@@ -469,38 +479,52 @@ class PlatformSimulator:
     def _pick_sandbox(self) -> Optional[Sandbox]:
         """Choose a ready sandbox with available concurrency (fewest active requests).
 
-        Single allocation-free pass; ties on concurrency keep the first
-        candidate in name order, matching the old
-        ``min(candidates, key=(concurrency, name))`` selection exactly.
+        Ties on concurrency go to the first sandbox in name order: the
+        minimum ``(concurrency, name)`` over ready sandboxes below the limit.
+        That is the head of the ready pool once stale heads are popped, so a
+        pick costs O(log S) amortised instead of a scan of every sandbox, and
+        a fleet with every sandbox at its limit answers ``None`` from an
+        empty pool.  The valid head stays: :meth:`_admit` pushes the
+        sandbox's new entry and the old one goes stale.
         """
-        limit = self.platform.concurrency.max_concurrency
-        ready_cutoff = self._now + _EPS
-        best: Optional[Sandbox] = None
-        best_concurrency = 0
-        for sandbox in self._sandboxes.values():
-            state = sandbox.state
-            if state is not SandboxState.IDLE and state is not SandboxState.BUSY:
-                continue
-            if sandbox.ready_s > ready_cutoff:
-                continue
-            concurrency = sandbox.concurrency
-            if concurrency >= limit:
-                continue
-            if (
-                best is None
-                or concurrency < best_concurrency
-                or (concurrency == best_concurrency and sandbox.name < best.name)
-            ):
-                best = sandbox
-                best_concurrency = concurrency
-        return best
+        pool = self._ready_pool
+        sandboxes = self._sandboxes
+        while pool:
+            concurrency, name = pool[0]
+            sandbox = sandboxes.get(name)
+            if sandbox is not None and sandbox.concurrency == concurrency:
+                return sandbox
+            heapq.heappop(pool)
+        return None
+
+    def _pool_push(self, sandbox: Sandbox) -> None:
+        """Enter a ready sandbox's current ``(concurrency, name)`` into the pool.
+
+        Called after every change to a ready sandbox's concurrency; a sandbox
+        at its limit gets no entry.  When stale entries pile up past
+        ``_POOL_REBUILD_FACTOR`` per live sandbox, the pool is rebuilt from
+        the registry, which keeps its memory O(live sandboxes).
+        """
+        concurrency = sandbox.concurrency
+        if concurrency >= self._concurrency_limit:
+            return
+        pool = self._ready_pool
+        heapq.heappush(pool, (concurrency, sandbox.name))
+        if len(pool) > _POOL_REBUILD_FACTOR * len(self._sandboxes):
+            limit = self._concurrency_limit
+            pool[:] = [
+                (s.concurrency, name)
+                for name, s in self._sandboxes.items()
+                if s.state is not SandboxState.INITIALIZING and s.concurrency < limit
+            ]
+            heapq.heapify(pool)
 
     def _create_sandbox(self) -> Sandbox:
         init_duration = self.platform.placement_delay_s + self.function.init_duration_s
         # Per-simulator, zero-padded names (prefixed with the simulator name in
         # a co-simulation): runs are reproducible regardless of how many
-        # sandboxes other simulations in this process created, and
-        # lexicographic tie-breaks in `_pick_sandbox` match creation order.
+        # sandboxes other simulations in this process created, and the ready
+        # pool's (concurrency, name) order breaks ties in creation order.
         sandbox = Sandbox(
             name=f"{self._id_prefix}sandbox-{next(self._sandbox_counter):06d}",
             function_name=self.function.name,
@@ -645,9 +669,10 @@ class PlatformSimulator:
 
     def _handle_sandbox_ready(self, event: Event) -> None:
         sandbox = self._sandboxes.get(event.data["sandbox"])
-        if sandbox is None or sandbox.state is SandboxState.TERMINATED:
+        if sandbox is None:
             return
         sandbox.mark_ready(self._now)
+        self._pool_push(sandbox)
         waiting = self._pending_cold.pop(sandbox.name, [])
         for index, (arrival_s, request_id, attempts, retry_wait_s, origin_s) in enumerate(waiting):
             # The request(s) that waited for this sandbox experienced the cold start.
@@ -684,6 +709,7 @@ class PlatformSimulator:
         )
         was_busy = sandbox.state is SandboxState.BUSY
         sandbox.admit(request, now)
+        self._pool_push(sandbox)
         self._refresh_rate_factor(sandbox)
         if self._emit_spans:
             self.bus.publish(
@@ -733,7 +759,7 @@ class PlatformSimulator:
     def _handle_completion(self, event: Event) -> None:
         name = event.data["sandbox"]
         sandbox = self._sandboxes.get(name)
-        if sandbox is None or sandbox.state is SandboxState.TERMINATED:
+        if sandbox is None:
             return
         if event.data["version"] != self._completion_version[name]:
             return  # stale check; membership changed since it was scheduled
@@ -766,6 +792,7 @@ class PlatformSimulator:
                 )
             )
         if finished:
+            self._pool_push(sandbox)
             self._drain_queue()
             self._maybe_schedule_keepalive(sandbox)
         self._refresh_rate_factor(sandbox)
@@ -845,7 +872,7 @@ class PlatformSimulator:
     def _autoscale_tick(self, now_s: float) -> None:
         if self._autoscaler is None:
             return
-        alive = self._alive_sandboxes()
+        alive = list(self._sandboxes.values())
         active_requests: float = sum(s.concurrency for s in alive) + len(self._queue)
         queue_weight = self._autoscaler.config.admission_queue_weight
         if self._feedback is not None and queue_weight > 0:

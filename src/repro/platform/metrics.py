@@ -14,10 +14,11 @@ collector therefore keeps *incremental* aggregates next to the raw records:
   old ``sum(...)`` calls used, so every derived statistic is bit-identical.
 
 ``retain_outcomes=False`` additionally drops the per-request
-:class:`RequestOutcome` objects (the aggregates above are kept), bounding
-memory for million-request benchmark runs.  Record-level views
-(``duration_timeline``, ``attempt_counts``) raise in that mode instead of
-silently returning empty results.
+:class:`RequestOutcome` and :class:`FailedRequest` objects (the aggregates
+above, and integer failure counters, are kept), bounding memory for
+million-request benchmark runs.  Record-level views (``duration_timeline``,
+``attempt_counts``) raise in that mode instead of silently returning empty
+results.
 """
 
 from __future__ import annotations
@@ -134,6 +135,8 @@ class SimulationMetrics:
 
     requests: List[RequestOutcome] = field(default_factory=list)
     #: Requests the platform failed (rejected sandbox admission), in order.
+    #: Empty under ``retain_outcomes=False``; the counts behind
+    #: :attr:`failed_requests` and :attr:`gave_up_requests` are kept anyway.
     failures: List[FailedRequest] = field(default_factory=list)
     #: Requests still waiting when the run ended: parked at the ingress queue
     #: or behind a sandbox whose admission never resolved (backpressure that
@@ -160,10 +163,11 @@ class SimulationMetrics:
     slo_latency_s: Optional[float] = None
     #: Completions that met ``slo_latency_s`` (0 when no target is set).
     slo_attained: int = 0
-    #: ``False`` drops the per-request :class:`RequestOutcome` objects at
-    #: record time while keeping every incremental aggregate -- bounded
-    #: memory for million-request runs.  Record-level views
-    #: (:meth:`duration_timeline`, :meth:`attempt_counts`) then raise.
+    #: ``False`` drops the per-request :class:`RequestOutcome` and
+    #: :class:`FailedRequest` objects at record time while keeping every
+    #: incremental aggregate -- bounded memory for million-request runs.
+    #: Record-level views (:meth:`duration_timeline`, :meth:`attempt_counts`)
+    #: then raise.
     retain_outcomes: bool = True
 
     def __post_init__(self) -> None:
@@ -177,6 +181,9 @@ class SimulationMetrics:
         self._latency_sum: float = 0.0
         self._floor_sum: float = 0.0
         self._completed_attempts_sum: int = 0
+        self._failed: int = 0
+        self._gave_up: int = 0
+        self._gave_up_attempts_sum: int = 0
 
     def record(self, outcome: RequestOutcome) -> None:
         if self.retain_outcomes:
@@ -204,7 +211,12 @@ class SimulationMetrics:
                 self.slo_attained += 1
 
     def record_failure(self, failure: FailedRequest) -> None:
-        self.failures.append(failure)
+        if self.retain_outcomes:
+            self.failures.append(failure)
+        self._failed += 1
+        if failure.gave_up:
+            self._gave_up += 1
+            self._gave_up_attempts_sum += failure.attempts
 
     def record_denied(self) -> None:
         """Count a credit-denied arrival (terminal; never routed or retried)."""
@@ -219,7 +231,7 @@ class SimulationMetrics:
         self.instance_timeline.append((now_s, count))
 
     def _require_outcomes(self, what: str) -> None:
-        if not self.retain_outcomes and self._completed:
+        if not self.retain_outcomes and (self._completed or self._failed):
             raise RuntimeError(
                 f"{what} needs per-request outcome records, but this collector "
                 "was created with retain_outcomes=False"
@@ -235,12 +247,12 @@ class SimulationMetrics:
 
     @property
     def failed_requests(self) -> int:
-        return len(self.failures)
+        return self._failed
 
     @property
     def gave_up_requests(self) -> int:
         """Terminal failures: the client exhausted its attempts or budget."""
-        return sum(1 for f in self.failures if f.gave_up)
+        return self._gave_up
 
     @property
     def service_floor_sum_s(self) -> float:
@@ -263,17 +275,13 @@ class SimulationMetrics:
         """``(sum of attempts, count)`` over terminal requests.
 
         The integer-exact aggregate behind ``mean_attempts``-style columns,
-        available even with ``retain_outcomes=False``: the completed half is
-        accumulated at record time, the gave-up half read off the (always
-        retained) failure records.
+        available even with ``retain_outcomes=False``: both halves, completed
+        and gave-up, are accumulated at record time.
         """
-        total = self._completed_attempts_sum
-        count = self._completed
-        for failure in self.failures:
-            if failure.gave_up:
-                total += failure.attempts
-                count += 1
-        return total, count
+        return (
+            self._completed_attempts_sum + self._gave_up_attempts_sum,
+            self._completed + self._gave_up,
+        )
 
     def execution_durations_s(self) -> List[float]:
         return self._durations[: self._completed].tolist()

@@ -205,7 +205,7 @@ def _deterministic_platform():
 
 
 class TestPlatformRetryCycle:
-    def _always_rejecting_simulator(self, policy):
+    def _always_rejecting_simulator(self, policy, retain_outcomes=True):
         """A platform whose every cold start is synchronously rejected."""
         fleet_bus = EventBus()
         channel = FeedbackChannel().attach(fleet_bus)
@@ -215,7 +215,8 @@ class TestPlatformRetryCycle:
             cpu_time_s=0.2, io_time_s=0.05, init_duration_s=0.5,
         )
         simulator = PlatformSimulator(
-            _deterministic_platform(), function, seed=0, feedback=channel, retry=loop
+            _deterministic_platform(), function, seed=0, feedback=channel, retry=loop,
+            retain_outcomes=retain_outcomes,
         )
         loop.register("", simulator)
         loop.attach(simulator.bus)
@@ -244,6 +245,22 @@ class TestPlatformRetryCycle:
         assert [f.retry_wait_s for f in m.failures] == pytest.approx([0.0, 1.0, 3.0])
         # terminal attempts only: the logical request took 3 attempts
         assert m.attempt_counts() == [3]
+
+    def test_unretained_failures_keep_counts_not_records(self):
+        """retain_outcomes=False bounds failure memory; every count survives."""
+        policy = RetryPolicy(max_attempts=3, base_backoff_s=1.0,
+                             backoff_multiplier=2.0, jitter=0.0)
+        retained, _ = self._always_rejecting_simulator(policy)
+        bounded, _ = self._always_rejecting_simulator(policy, retain_outcomes=False)
+        for simulator in (retained, bounded):
+            simulator.run([0.0, 0.5], horizon_s=60.0)
+        kept, dropped = retained.metrics, bounded.metrics
+        assert len(kept.failures) == 6 and dropped.failures == []
+        assert dropped.failed_requests == kept.failed_requests == 6
+        assert dropped.gave_up_requests == kept.gave_up_requests == 2
+        assert dropped.terminal_attempt_stats() == kept.terminal_attempt_stats() == (6, 2)
+        with pytest.raises(RuntimeError, match="retain_outcomes=False"):
+            dropped.attempt_counts()
 
     def test_budget_caps_total_retries(self):
         policy = RetryPolicy(max_attempts=5, base_backoff_s=1.0, jitter=0.0,
