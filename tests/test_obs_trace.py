@@ -17,7 +17,8 @@ from repro.cluster.cosim import ClusterSimulator, FunctionDeployment
 from repro.cluster.fleet import FleetConfig
 from repro.cluster.host import HostSpec
 from repro.obs import Observability, validate_chrome_trace
-from repro.obs.trace import CENSORED, COMPLETED, FAILED
+from repro.obs import trace as trace_module
+from repro.obs.trace import _EXPORT_SLICE, CENSORED, COMPLETED, FAILED, TraceCollector
 from repro.platform.presets import get_platform_preset
 from repro.sim.retry import RetryPolicy
 from repro.workloads.functions import PYAES_FUNCTION
@@ -150,6 +151,43 @@ class TestChromeExport:
         sandboxes = [line for line in lines if line["kind"] == "sandbox"]
         assert len(requests) == len(obs.trace.spans)
         assert len(sandboxes) == len(obs.trace.sandbox_spans)
+
+
+class TestChromeTraceBytes:
+    """The streamed Chrome-trace writer emits exactly ``json.dumps``'s bytes."""
+
+    @staticmethod
+    def _expected(events):
+        return json.dumps({"traceEvents": events, "displayTimeUnit": "ms"})
+
+    def test_empty_collector(self, tmp_path):
+        trace = TraceCollector()
+        path = tmp_path / "empty.json"
+        trace.to_chrome_trace(str(path))
+        assert path.read_text() == self._expected(trace.chrome_trace())
+
+    def test_retry_flows_and_counters_over_several_slices(self, tmp_path):
+        _, obs = _traced_cluster(11, retry=RetryPolicy(max_attempts=3))
+        counters = obs.telemetry.chrome_counters()
+        events = obs.trace.chrome_trace(counters)
+        # Several export slices, the last one partial.
+        assert len(events) > _EXPORT_SLICE and len(events) % _EXPORT_SLICE
+        assert any(e["ph"] == "s" for e in events) and any(e["ph"] == "C" for e in events)
+        path = tmp_path / "trace.json"
+        obs.trace.to_chrome_trace(str(path), counters)
+        assert path.read_text() == self._expected(events)
+
+    def test_slice_boundaries(self, tmp_path, monkeypatch):
+        _, obs = _traced_cluster(11, retry=RetryPolicy(max_attempts=3))
+        events = obs.trace.chrome_trace()
+        count = len(events)
+        path = tmp_path / "trace.json"
+        # One event per slice, a one-event last slice, one exact slice, one
+        # short slice.
+        for size in (1, count - 1, count, count + 1):
+            monkeypatch.setattr(trace_module, "_EXPORT_SLICE", size)
+            obs.trace.to_chrome_trace(str(path))
+            assert path.read_text() == self._expected(events), size
 
 
 class TestStandalonePlatformSimulator:

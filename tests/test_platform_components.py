@@ -175,13 +175,13 @@ class TestAutoscaler:
     def test_cpu_pressure_scales_up(self):
         scaler = self._autoscaler()
         for t in range(0, 30, 2):
-            scaler.observe(float(t), active_requests=4, busy_vcpus=2.0, instances=1)
+            scaler.observe(float(t), active_requests=4, busy_vcpus=2.0)
         assert scaler.desired_instances(30.0, 1) > 1
 
     def test_panic_mode_reacts_to_spikes(self):
         scaler = self._autoscaler()
         for t in range(0, 12, 2):
-            scaler.observe(float(t), active_requests=300, busy_vcpus=1.0, instances=1)
+            scaler.observe(float(t), active_requests=300, busy_vcpus=1.0)
         desired = scaler.desired_instances(12.0, 1)
         assert desired >= 5
 
@@ -189,14 +189,14 @@ class TestAutoscaler:
         config = AutoscalerConfig(scale_down_delay_s=60.0)
         scaler = Autoscaler(config, max_concurrency=80, alloc_vcpus=1.0)
         for t in range(0, 20, 2):
-            scaler.observe(float(t), active_requests=0, busy_vcpus=0.0, instances=5)
+            scaler.observe(float(t), active_requests=0, busy_vcpus=0.0)
         # The desire to shrink exists but is held back by the delay.
         assert scaler.desired_instances(20.0, 5) == 5
 
     def test_max_instances_cap(self):
         scaler = self._autoscaler(max_instances=3)
         for t in range(0, 12, 2):
-            scaler.observe(float(t), active_requests=10_000, busy_vcpus=100.0, instances=1)
+            scaler.observe(float(t), active_requests=10_000, busy_vcpus=100.0)
         assert scaler.desired_instances(12.0, 1) <= 3
 
     def test_invalid_config_rejected(self):
@@ -222,7 +222,7 @@ class TestAutoscalerScaleDownHysteresis:
     def test_scale_down_fires_after_delay(self):
         scaler = self._idle_scaler(delay_s=60.0)
         for t in range(0, 120, 2):
-            scaler.observe(float(t), active_requests=0, busy_vcpus=0.0, instances=5)
+            scaler.observe(float(t), active_requests=0, busy_vcpus=0.0)
             desired = scaler.desired_instances(float(t), 5)
             if t < 60.0:
                 assert desired == 5, f"scaled down too early at t={t}"
@@ -237,23 +237,23 @@ class TestAutoscalerScaleDownHysteresis:
         )
         # Idle phase: the shrink candidate starts its clock (~t=2).
         for t in range(0, 10, 2):
-            scaler.observe(float(t), active_requests=0, busy_vcpus=0.0, instances=5)
+            scaler.observe(float(t), active_requests=0, busy_vcpus=0.0)
             assert scaler.desired_instances(float(t), 5) == 5
         # A demand burst cancels the pending shrink.
         for t in range(10, 16, 2):
-            scaler.observe(float(t), active_requests=2000, busy_vcpus=5.0, instances=5)
+            scaler.observe(float(t), active_requests=2000, busy_vcpus=5.0)
             assert scaler.desired_instances(float(t), 5) >= 5
         # Renewed idleness must wait the full delay again: at t=30 more than
         # delay_s has passed since the *first* candidate (t~2), so without the
         # reset the scaler would already have shrunk.
         for t in range(16, 32, 2):
-            scaler.observe(float(t), active_requests=0, busy_vcpus=0.0, instances=5)
+            scaler.observe(float(t), active_requests=0, busy_vcpus=0.0)
             scaler.desired_instances(float(t), 5)
-        scaler.observe(32.0, active_requests=0, busy_vcpus=0.0, instances=5)
+        scaler.observe(32.0, active_requests=0, busy_vcpus=0.0)
         assert scaler.desired_instances(32.0, 5) == 5
         # Once the new clock runs out, the shrink finally goes through.
         for t in range(34, 50, 2):
-            scaler.observe(float(t), active_requests=0, busy_vcpus=0.0, instances=5)
+            scaler.observe(float(t), active_requests=0, busy_vcpus=0.0)
             scaler.desired_instances(float(t), 5)
         assert scaler.desired_instances(50.0, 5) < 5
 
@@ -264,7 +264,7 @@ class TestAutoscalerScaleDownHysteresis:
             alloc_vcpus=1.0,
         )
         for t in range(0, 40, 2):
-            scaler.observe(float(t), active_requests=0, busy_vcpus=0.0, instances=5)
+            scaler.observe(float(t), active_requests=0, busy_vcpus=0.0)
             scaler.desired_instances(float(t), 5)
         assert scaler.desired_instances(40.0, 5) == 2
 
