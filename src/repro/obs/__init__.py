@@ -222,7 +222,7 @@ class Observability:
         if path.endswith(".jsonl"):
             self.trace.to_jsonl(path)
             return
-        counters = self.telemetry.chrome_counters() if self.telemetry is not None else None
+        counters = self.telemetry.iter_chrome_counters() if self.telemetry is not None else None
         self.trace.to_chrome_trace(path, counters)
 
     def write_telemetry_csv(self, path: str) -> None:

@@ -17,14 +17,15 @@ columns), :meth:`TelemetryProcess.summary` (per-metric mean/min/max plus
 optional percentiles over the retained window), and
 :meth:`TelemetryProcess.chrome_counters` (Chrome ``C`` counter events that
 plot under the request lanes of a :class:`~repro.obs.trace.TraceCollector`
-export).
+export; :meth:`TelemetryProcess.iter_chrome_counters` yields the same events
+lazily for the streamed writer).
 """
 
 from __future__ import annotations
 
 import csv
 from collections import deque
-from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry, percentile
 from repro.sim.kernel import PeriodicProcess
@@ -137,17 +138,20 @@ class TelemetryProcess:
 
     def chrome_counters(self, pid: int = 0) -> List[Dict[str, Any]]:
         """The retained series as Chrome ``C`` counter events (one lane each)."""
-        events: List[Dict[str, Any]] = [{
+        return list(self.iter_chrome_counters(pid))
+
+    def iter_chrome_counters(self, pid: int = 0) -> Iterator[Dict[str, Any]]:
+        """:meth:`chrome_counters`' events one at a time, for streamed export."""
+        yield {
             "name": "process_name", "ph": "M", "ts": 0, "pid": pid, "tid": 0,
             "args": {"name": "telemetry"},
-        }]
+        }
         for row in self.rows:
             ts = row["time_s"] * 1e6
             for name, value in row.items():
                 if name == "time_s":
                     continue
-                events.append({
+                yield {
                     "name": name, "ph": "C", "ts": ts, "pid": pid, "tid": 0,
                     "args": {"value": value},
-                })
-        return events
+                }

@@ -22,7 +22,11 @@ Export targets:
 - :meth:`TraceCollector.chrome_trace` -- Chrome ``trace_event`` JSON (the
   array form), viewable in Perfetto / ``chrome://tracing``: one *process*
   row per function, one *thread* per request, ``X`` complete events for
-  span phases, flow arrows from each failed attempt to its retry.
+  span phases, flow arrows from each failed attempt to its retry;
+- :meth:`TraceCollector.to_chrome_trace` -- the same events streamed to a
+  file, ``_EXPORT_SLICE`` at a time, so export memory is one slice of event
+  dicts beyond the spans themselves (the bytes equal one ``json.dumps`` of
+  the whole document).
 
 The collector never mutates simulation state, draws randomness, or schedules
 kernel events -- attaching it leaves every simulated byte identical.
@@ -31,7 +35,8 @@ kernel events -- attaching it leaves every simulated byte identical.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional
+from itertools import islice
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from repro.sim.events import (
     EventBus,
@@ -53,7 +58,8 @@ COMPLETED, FAILED, CENSORED, OPEN = "completed", "failed", "censored", "open"
 
 #: Sandbox lanes sit above request lanes inside a function's trace process.
 _SANDBOX_TID_BASE = 1_000_000
-#: Events per ``json.dumps`` call when streaming a Chrome trace to disk.
+#: Events per ``json.dumps`` call when streaming a Chrome trace to disk: the
+#: writer holds one slice of event dicts at a time, never the whole list.
 _EXPORT_SLICE = 512
 
 
@@ -330,13 +336,16 @@ class TraceCollector:
         events -- the telemetry layer passes its sampled series through here
         so queue depth and live cost plot under the request lanes.
         """
-        events: List[Dict[str, Any]] = []
+        return list(self._chrome_events(counters))
+
+    def _chrome_events(self, counters: Optional[Iterable[Dict[str, Any]]]) -> Iterator[Dict[str, Any]]:
+        """:meth:`chrome_trace`'s events, one at a time, in the same order."""
         pids = self._pids()
         for function, pid in pids.items():
-            events.append({
+            yield {
                 "name": "process_name", "ph": "M", "ts": 0, "pid": pid, "tid": 0,
                 "args": {"name": f"function {function}" if function else "function"},
-            })
+            }
         flow_seq = 0
         for span in self.spans:
             if span.end_s is None:
@@ -352,73 +361,79 @@ class TraceCollector:
                 args["parent_id"] = span.parent_id
             if span.fail_reason:
                 args["fail_reason"] = span.fail_reason
-            events.append({
+            yield {
                 "name": f"request (attempt {span.attempt}, {span.outcome})",
                 "cat": "request", "ph": "X",
                 "ts": span.arrival_s * 1e6,
                 "dur": max(span.end_s - span.arrival_s, 0.0) * 1e6,
                 "pid": pid, "tid": tid, "args": args,
-            })
+            }
             if span.exec_start_s is not None and span.end_s >= span.exec_start_s:
-                events.append({
+                yield {
                     "name": "execute", "cat": "request", "ph": "X",
                     "ts": span.exec_start_s * 1e6,
                     "dur": (span.end_s - span.exec_start_s) * 1e6,
                     "pid": pid, "tid": tid,
                     "args": {"request_id": span.request_id, "sandbox": span.sandbox_name},
-                })
+                }
             if span.parent_id and span.parent_id in self._by_request:
                 parent = self._by_request[span.parent_id]
                 if parent.end_s is not None:
                     flow_seq += 1
                     parent_pid = pids[parent.function]
                     parent_tid = _trailing_int(parent.request_id)
-                    events.append({
+                    yield {
                         "name": "retry", "cat": "retry", "ph": "s", "id": flow_seq,
                         "ts": parent.end_s * 1e6, "pid": parent_pid, "tid": parent_tid,
-                    })
-                    events.append({
+                    }
+                    yield {
                         "name": "retry", "cat": "retry", "ph": "f", "bp": "e", "id": flow_seq,
                         "ts": span.arrival_s * 1e6, "pid": pid, "tid": tid,
-                    })
+                    }
         for sandbox in self.sandbox_spans:
             if sandbox.end_s is None:
                 continue
             pid = pids[sandbox.function]
             tid = _SANDBOX_TID_BASE + _trailing_int(sandbox.sandbox_name)
             state = "rejected" if sandbox.rejected else (sandbox.end_reason or "sandbox")
-            events.append({
+            yield {
                 "name": f"sandbox ({state})", "cat": "sandbox", "ph": "X",
                 "ts": sandbox.cold_start_s * 1e6,
                 "dur": max(sandbox.end_s - sandbox.cold_start_s, 0.0) * 1e6,
                 "pid": pid, "tid": tid,
                 "args": sandbox.to_dict(),
-            })
+            }
         if counters is not None:
-            events.extend(counters)
-        return events
+            yield from counters
 
     def to_chrome_trace(self, path: str, counters: Optional[Iterable[Dict[str, Any]]] = None) -> None:
         """JSON Object Format (``{"traceEvents": [...]}``) -- the
         self-describing variant both ``chrome://tracing`` and Perfetto load."""
-        events = self.chrome_trace(counters)
-        # ``json.dump`` always runs the pure-Python encoder; encoding slices
-        # of events with ``json.dumps`` uses the C one.  Either way the bytes
-        # are exactly ``json.dumps({"traceEvents": events, "displayTimeUnit": "ms"})``.
+        events = self._chrome_events(counters)
+        # Each slice is encoded by ``json.dumps`` (the C encoder) with its
+        # brackets dropped and joined with the list separator ``", "``, so the
+        # bytes are exactly ``json.dumps({"traceEvents": self.chrome_trace(counters),
+        # "displayTimeUnit": "ms"})`` while only one slice of dicts is alive.
         with open(path, "w") as handle:
             handle.write('{"traceEvents": [')
-            for start in range(0, len(events), _EXPORT_SLICE):
-                if start:
-                    handle.write(", ")
-                handle.write(json.dumps(events[start:start + _EXPORT_SLICE])[1:-1])
+            separator = ""
+            for chunk in iter(lambda: list(islice(events, _EXPORT_SLICE)), []):
+                handle.write(separator + json.dumps(chunk)[1:-1])
+                separator = ", "
             handle.write('], "displayTimeUnit": "ms"}')
+
+
+def _is_number(value: Any) -> bool:
+    """A JSON number: ``int`` or ``float``, but not ``bool`` (an ``int`` subclass)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def validate_chrome_trace(events: Iterable[Dict[str, Any]]) -> int:
     """Assert Chrome-trace well-formedness; returns the event count.
 
-    Every event must carry ``ph``/``ts``/``pid``/``tid``; complete (``X``)
-    events must have a non-negative ``dur``.  Shared by the test suite and
+    Every event must carry ``ph``/``ts``/``pid``/``tid`` with a numeric
+    ``ts``; complete (``X``) events must have a numeric, non-negative
+    ``dur``.  Booleans are not numbers here.  Shared by the test suite and
     the CI smoke step so both validate the same contract.
     """
     count = 0
@@ -427,9 +442,9 @@ def validate_chrome_trace(events: Iterable[Dict[str, Any]]) -> int:
         for key in ("ph", "ts", "pid", "tid"):
             if key not in event:
                 raise ValueError(f"trace event missing {key!r}: {event!r}")
-        if not isinstance(event["ts"], (int, float)):
+        if not _is_number(event["ts"]):
             raise ValueError(f"trace event ts must be numeric: {event!r}")
         if event["ph"] == "X":
-            if "dur" not in event or float(event["dur"]) < 0:
-                raise ValueError(f"complete event needs non-negative dur: {event!r}")
+            if not _is_number(event.get("dur")) or event["dur"] < 0:
+                raise ValueError(f"complete event needs numeric non-negative dur: {event!r}")
     return count

@@ -9,7 +9,9 @@ failed parent attempt, and timestamps are monotone within each span.
 
 import dataclasses
 import json
+import tracemalloc
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +20,7 @@ from repro.cluster.fleet import FleetConfig
 from repro.cluster.host import HostSpec
 from repro.obs import Observability, validate_chrome_trace
 from repro.obs import trace as trace_module
-from repro.obs.trace import _EXPORT_SLICE, CENSORED, COMPLETED, FAILED, TraceCollector
+from repro.obs.trace import _EXPORT_SLICE, CENSORED, COMPLETED, FAILED, RequestSpan, TraceCollector
 from repro.platform.presets import get_platform_preset
 from repro.sim.retry import RetryPolicy
 from repro.workloads.functions import PYAES_FUNCTION
@@ -179,15 +181,77 @@ class TestChromeTraceBytes:
 
     def test_slice_boundaries(self, tmp_path, monkeypatch):
         _, obs = _traced_cluster(11, retry=RetryPolicy(max_attempts=3))
-        events = obs.trace.chrome_trace()
+        spans = len(obs.trace.chrome_trace())
+        events = obs.trace.chrome_trace(obs.telemetry.chrome_counters())
         count = len(events)
+        assert 1 < spans < count - 1
         path = tmp_path / "trace.json"
-        # One event per slice, a one-event last slice, one exact slice, one
-        # short slice.
-        for size in (1, count - 1, count, count + 1):
+        # One event per slice; a boundary inside the span events, exactly at
+        # the span/counter seam, and inside the counter events; a one-event
+        # last slice, one exact slice, one short slice.
+        for size in (1, spans - 1, spans, spans + 1, count - 1, count, count + 1):
             monkeypatch.setattr(trace_module, "_EXPORT_SLICE", size)
-            obs.trace.to_chrome_trace(str(path))
+            obs.trace.to_chrome_trace(str(path), obs.telemetry.iter_chrome_counters())
             assert path.read_text() == self._expected(events), size
+
+    def test_counters_as_one_shot_generator(self, tmp_path):
+        _, obs = _traced_cluster(11, retry=RetryPolicy(max_attempts=3))
+        counters = obs.telemetry.chrome_counters()
+        path = tmp_path / "trace.json"
+        obs.trace.to_chrome_trace(str(path), (event for event in counters))
+        assert path.read_text() == self._expected(obs.trace.chrome_trace(counters))
+
+    def test_observability_write_trace(self, tmp_path):
+        _, obs = _traced_cluster(11, retry=RetryPolicy(max_attempts=3))
+        path = tmp_path / "trace.json"
+        obs.write_trace(str(path))
+        assert path.read_text() == self._expected(obs.trace.chrome_trace(obs.telemetry.chrome_counters()))
+
+
+def _synthetic_collector(count):
+    """A finalized collector of ``count`` completed request spans over 4 functions."""
+    trace = TraceCollector()
+    for index in range(count):
+        function = f"fn-{index % 4:02d}"
+        span = RequestSpan(f"{function}/req-{index:07d}", function, 1, "", index * 0.01, 0.0)
+        span.exec_start_s = span.arrival_s + 0.002
+        span.end_s = span.arrival_s + 0.005
+        span.outcome = COMPLETED
+        span.sandbox_name = f"{function}/sb-{index % 7:04d}"
+        trace.spans.append(span)
+    trace.finalize(count * 0.01)
+    return trace
+
+
+class TestChromeTraceMemory:
+    @staticmethod
+    def _export_peak_bytes(trace, path):
+        """Traced-allocation peak of one export, above its starting level."""
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            trace.to_chrome_trace(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - start
+
+    def test_export_peak_does_not_grow_with_event_count(self, tmp_path):
+        small = self._export_peak_bytes(_synthetic_collector(2_000), tmp_path / "small.json")
+        large = self._export_peak_bytes(_synthetic_collector(20_000), tmp_path / "large.json")
+        # Ten times the events must not mean ten times the memory: the writer
+        # holds one slice of event dicts, never the whole list.
+        assert large < 1.5 * small, (small, large)
+
+
+class TestValidateChromeTrace:
+    def test_rejects_string_dur_and_bool_ts(self):
+        good = {"name": "x", "ph": "X", "ts": 0.0, "dur": 5.0, "pid": 1, "tid": 1}
+        assert validate_chrome_trace([good]) == 1
+        for bad in ({**good, "dur": "5"}, {**good, "ts": True}, {**good, "dur": True}):
+            with pytest.raises(ValueError):
+                validate_chrome_trace([bad])
 
 
 class TestStandalonePlatformSimulator:
