@@ -23,7 +23,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.sim.results import ResultStore
 from repro.sim.rng import named_generator
-from repro.sim.sweep import build_grid, run_sweep
+from repro.sim.sweep import build_grid, reject_unknown_params, run_sweep
 
 __all__ = [
     "backpressure_point",
@@ -54,6 +54,29 @@ RETRY_AXES: Dict[str, Sequence[object]] = {
     "heterogeneity": ("homogeneous",),
     "retry": ("off", "on"),
 }
+
+#: The params :func:`backpressure_point` reads itself; the retry, tenancy
+#: and observability params are accepted on top.
+POINT_PARAMS = (
+    "queue_depth",
+    "placement_policy",
+    "heterogeneity",
+    "num_functions",
+    "max_hosts",
+    "queue_discipline",
+    "platform",
+    "billing",
+    "workload",
+    "rps_per_function",
+    "duration_s",
+    "keep_alive_s",
+    "arrival_process",
+    "host_vcpus",
+    "host_memory_gb",
+    "sample_interval_s",
+    "with_scheduler",
+    "feedback",
+)
 
 
 def _zones(heterogeneity: str, host_vcpus: float, host_memory_gb: float, max_hosts: int):
@@ -163,17 +186,25 @@ def backpressure_point(params: Mapping[str, object], seed: int) -> Dict[str, obj
     telemetry series as CSV, and the kernel profile as JSON.  Observers only
     read the bus, so the returned row is byte-identical with or without them.
 
+    Any other param raises ``ValueError`` naming it and its closest known
+    param, instead of being ignored.
+
     Imports stay inside the function so the runner is resolvable by dotted
     path in sweep worker processes without import cycles.
     """
     from repro.cluster.cosim import ClusterSimulator, FunctionDeployment
     from repro.cluster.fleet import FleetConfig
     from repro.cluster.placement import PlacementPolicy
+    from repro.obs import OBS_PARAMS
     from repro.platform.presets import get_platform_preset
-    from repro.sim.retry import resolve_retry
+    from repro.sim.retry import RETRY_PARAMS, resolve_retry
+    from repro.tenancy.model import TENANT_PARAMS
     from repro.traces.generator import HUAWEI_FLAVORS
     from repro.workloads.functions import get_workload
 
+    reject_unknown_params(
+        params, POINT_PARAMS + RETRY_PARAMS + TENANT_PARAMS + OBS_PARAMS, "backpressure_point"
+    )
     queue_depth = int(params["queue_depth"])  # type: ignore[arg-type]
     policy = PlacementPolicy(str(params["placement_policy"]))
     heterogeneity = str(params["heterogeneity"])

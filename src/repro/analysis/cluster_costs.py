@@ -20,7 +20,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.sim.rng import named_generator
 from repro.sim.results import ResultStore
-from repro.sim.sweep import build_grid, run_sweep
+from repro.sim.sweep import build_grid, reject_unknown_params, run_sweep
 
 __all__ = ["cluster_point", "cluster_cost_sweep", "DEFAULT_AXES"]
 
@@ -31,6 +31,24 @@ DEFAULT_AXES: Dict[str, Sequence[object]] = {
     "placement_policy": ("first_fit", "best_fit", "worst_fit"),
     "keep_alive_s": (60.0, 300.0),
 }
+
+#: The params :func:`cluster_point` reads itself; the retry, tenancy and
+#: observability params are accepted on top.
+POINT_PARAMS = (
+    "num_functions",
+    "placement_policy",
+    "keep_alive_s",
+    "platform",
+    "billing",
+    "workload",
+    "rps_per_function",
+    "duration_s",
+    "arrival_process",
+    "host_vcpus",
+    "host_memory_gb",
+    "sample_interval_s",
+    "feedback",
+)
 
 
 def cluster_point(params: Mapping[str, object], seed: int) -> Dict[str, object]:
@@ -69,6 +87,9 @@ def cluster_point(params: Mapping[str, object], seed: int) -> Dict[str, object]:
     :class:`repro.obs.Observability` to the run; rows stay byte-identical
     either way.
 
+    Any other param raises ``ValueError`` naming it and its closest known
+    param, instead of being ignored.
+
     Imports stay inside the function so the runner is resolvable by dotted
     path in sweep worker processes without import cycles.
     """
@@ -76,11 +97,16 @@ def cluster_point(params: Mapping[str, object], seed: int) -> Dict[str, object]:
     from repro.cluster.fleet import FleetConfig
     from repro.cluster.host import HostSpec
     from repro.cluster.placement import PlacementPolicy
+    from repro.obs import OBS_PARAMS
     from repro.platform.presets import get_platform_preset
-    from repro.sim.retry import resolve_retry
+    from repro.sim.retry import RETRY_PARAMS, resolve_retry
+    from repro.tenancy.model import TENANT_PARAMS
     from repro.traces.generator import HUAWEI_FLAVORS
     from repro.workloads.functions import get_workload
 
+    reject_unknown_params(
+        params, POINT_PARAMS + RETRY_PARAMS + TENANT_PARAMS + OBS_PARAMS, "cluster_point"
+    )
     num_functions = int(params["num_functions"])  # type: ignore[arg-type]
     policy = PlacementPolicy(str(params["placement_policy"]))
     keep_alive_s = float(params["keep_alive_s"])  # type: ignore[arg-type]

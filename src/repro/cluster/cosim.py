@@ -458,8 +458,12 @@ class ClusterSimulator:
             horizon = max(horizon, self.scheduler.config.horizon_s)
         if horizon_s is not None:
             horizon = horizon_s
-        self.kernel.run(until=horizon + _EPS)
+        until = horizon + _EPS
+        self.kernel.run(until=until)
         for simulator in self.simulators.values():
+            # Autoscalers asleep at the end skipped their last ticks; replay
+            # them (the shared clock stays at the last event that fired).
+            simulator.replay_idle_ticks(until)
             simulator.metrics.pending_requests = simulator.pending_request_count
         if self.meter is not None:
             self.meter.finalize(horizon)

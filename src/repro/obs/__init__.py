@@ -59,13 +59,15 @@ __all__ = [
     "TelemetryProcess",
     "TraceCollector",
     "obs_from_params",
+    "OBS_PARAMS",
     "percentile",
     "validate_chrome_trace",
     "write_obs_artifacts",
 ]
 
 #: Sweep-param keys that request observability artifacts from a runner.
-_OBS_PARAM_KEYS = ("trace_out", "telemetry_out", "profile_out")
+#: The sweep-grid params that ask for observability artifacts.
+OBS_PARAMS = ("trace_out", "telemetry_out", "profile_out")
 
 
 def obs_from_params(params) -> Optional["Observability"]:
@@ -76,7 +78,7 @@ def obs_from_params(params) -> Optional["Observability"]:
     attached; all other points (and every pre-obs grid) return ``None`` and
     take the untouched path.
     """
-    if any(params.get(key) for key in _OBS_PARAM_KEYS):
+    if any(params.get(key) for key in OBS_PARAMS):
         return Observability()
     return None
 

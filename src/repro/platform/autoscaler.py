@@ -10,11 +10,12 @@ lag is the mechanism behind Figure 6 (right).
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
-from typing import Deque
+from typing import Callable, Deque, Optional, Tuple
 
 from repro.sim.kernel import PeriodicProcess
 
@@ -95,6 +96,12 @@ class Autoscaler:
         self._times: Deque[float] = deque()
         self._active: Deque[float] = deque()
         self._busy: Deque[float] = deque()
+        #: ``(sum(active), sum(busy))`` over the whole window, or ``None``
+        #: once a non-zero sample has entered or left it since the sums were
+        #: taken.  Idle stretches feed zero samples, and adding a zero
+        #: changes neither a plain float fold nor Python 3.12's compensated
+        #: ``sum``, so the cached totals stay exact while only zeros move.
+        self._sums: Optional[Tuple[float, float]] = None
         self._last_scale_down_candidate: float = 0.0
 
     def observe(self, now_s: float, active_requests: float, busy_vcpus: float) -> None:
@@ -107,12 +114,15 @@ class Autoscaler:
         times.append(now_s)
         self._active.append(float(active_requests))
         self._busy.append(busy_vcpus)
+        if active_requests or busy_vcpus:
+            self._sums = None
         cutoff = now_s - self.config.metric_window_s
         # The new sample is never before the cutoff, so this stops on it.
         while times[0] < cutoff:
             times.popleft()
-            self._active.popleft()
-            self._busy.popleft()
+            left_active = self._active.popleft()
+            if self._busy.popleft() or left_active:
+                self._sums = None
 
     def desired_instances(self, now_s: float, current_instances: int) -> int:
         """Compute the desired instance count from window-averaged metrics."""
@@ -126,15 +136,19 @@ class Autoscaler:
         size = n - start
         if not size:
             return max(current_instances, cfg.min_instances)
-        # Summing the deques themselves when nothing is skipped (every
-        # simulator tick) saves two islice set-ups: ~3% of the 512-function
-        # ``fanout`` benchmark.
+        # Every simulator tick decides at its own sample's time, so nothing
+        # is skipped and the whole-window totals (cached across zero
+        # samples) serve.
         if start:
-            avg_active = sum(islice(self._active, start, None)) / size
-            avg_busy_vcpus = sum(islice(self._busy, start, None)) / size
+            active_total = sum(islice(self._active, start, None))
+            busy_total = sum(islice(self._busy, start, None))
         else:
-            avg_active = sum(self._active) / size
-            avg_busy_vcpus = sum(self._busy) / size
+            sums = self._sums
+            if sums is None:
+                sums = self._sums = (sum(self._active), sum(self._busy))
+            active_total, busy_total = sums
+        avg_active = active_total / size
+        avg_busy_vcpus = busy_total / size
 
         # Concurrency-based desired count: keep per-instance concurrency below
         # target_concurrency_fraction * max_concurrency.
@@ -152,7 +166,9 @@ class Autoscaler:
         # within seconds rather than a full aggregation window.  CPU-target
         # scaling alone reacts slowly under overload because per-instance CPU
         # saturates at the allocation -- exactly the lag Figure 6 measures.
-        if cfg.panic_threshold > 0 and cfg.panic_window_s > 0:
+        # Samples are non-negative, so a zero window total means a zero
+        # panic suffix, which can never trip the threshold.
+        if cfg.panic_threshold > 0 and cfg.panic_window_s > 0 and active_total:
             panic_start = bisect_left(times, now_s - cfg.panic_window_s, start)
             if panic_start < n:
                 panic_active = sum(islice(self._active, panic_start, None)) / (n - panic_start)
@@ -187,4 +203,99 @@ class AutoscalerProcess(PeriodicProcess):
     simulation time; the owning simulator supplies it and reads its own pool
     state there.  The same instance works in a standalone simulation and in
     an open-ended cluster co-simulation.
+
+    **Sleeping through idle stretches.**  A tick that finds its function idle
+    may call :meth:`sleep`: the process stops ticking and remembers the first
+    grid tick it skips.  Until demand returns, every skipped tick would
+    observe a zero sample and keep the instance count, except that a
+    scale-down may come due; so the process sets a timer only for the
+    earliest grid tick at which one could fire.  The owner wakes it on demand
+    with :meth:`wake`, which first hands every skipped tick before ``now`` to
+    ``replay`` (in grid order, stepping the grid exactly as ticking would)
+    and then re-arms the process on the kernel; :meth:`replay_through`
+    replays the skipped ticks up to the end of a run.  A timer wake replays
+    the skipped ticks before the timer's tick, then ticks as usual.
     """
+
+    def __init__(
+        self,
+        interval_s: float,
+        callback: Callable[[float], None],
+        start_s: float = 0.0,
+        *,
+        autoscaler: Optional[Autoscaler] = None,
+        replay: Optional[Callable[[float], None]] = None,
+    ) -> None:
+        super().__init__(interval_s, callback, start_s)
+        #: The decisions this process schedules (needed to sleep).
+        self.autoscaler = autoscaler
+        self._replay = replay
+        #: While asleep: the first grid tick not evaluated yet.  ``None``
+        #: while awake.  (Asleep, ``_next_tick_s`` is the timer, or ``None``.)
+        self._skipped_s: Optional[float] = None
+
+    def handle(self, now: float) -> None:
+        if self._skipped_s is not None:
+            # Woken by its own timer: catch up on the ticks slept through.
+            self._replay_before(now)
+            self._skipped_s = None
+        self._next_tick_s += self.interval_s
+        self._callback(now)
+
+    def sleep(self, instances: int) -> None:
+        """Stop ticking after the current tick; call it from the tick callback.
+
+        ``instances`` is the pool size the tick left.  At the autoscaler's
+        minimum no scale-down can happen, so no timer is set.  Otherwise the
+        timer is the first grid tick ``t`` with
+        ``t - base >= scale_down_delay_s``, where ``base`` is the time the
+        pending wish to scale in first appeared or, when none is pending
+        (``0.0``), the first skipped tick: no later candidate can let a
+        scale-down fire sooner.
+        """
+        first = self._next_tick_s
+        self._skipped_s = first
+        config = self.autoscaler.config
+        if instances <= config.min_instances:
+            self._next_tick_s = None
+            return
+        base = self.autoscaler._last_scale_down_candidate or first
+        tick = first
+        while tick - base < config.scale_down_delay_s:
+            tick += self.interval_s
+        self._next_tick_s = tick
+
+    def wake(self, now: float, kernel) -> None:
+        """Replay the ticks slept through strictly before ``now`` and tick on.
+
+        The next skipped tick becomes the next wakeup (through
+        :meth:`~repro.sim.kernel.SimulationKernel.rearm`); one at ``now``
+        itself fires after the heap events of this instant, as it would have.
+        """
+        self._replay_before(now)
+        self._next_tick_s = self._skipped_s
+        self._skipped_s = None
+        kernel.rearm(self)
+
+    def replay_through(self, until_s: float) -> None:
+        """Replay the ticks slept through up to and including ``until_s``; stay asleep."""
+        if self._skipped_s is not None:
+            self._replay_before(math.nextafter(until_s, math.inf))
+
+    def last_skipped_tick(self, until_s: float) -> Optional[float]:
+        """The last skipped tick at or before ``until_s`` (``None``: none)."""
+        tick = self._skipped_s
+        if tick is None or tick > until_s:
+            return None
+        while tick + self.interval_s <= until_s:
+            tick += self.interval_s
+        return tick
+
+    def _replay_before(self, end_s: float) -> None:
+        tick = self._skipped_s
+        replay = self._replay
+        interval = self.interval_s
+        while tick < end_s:
+            replay(tick)
+            tick += interval
+        self._skipped_s = tick

@@ -64,6 +64,8 @@ __all__ = ["PlatformSimulator", "RequestOutcome", "SimulationMetrics"]
 # Hoisted enum members: the arrival hot path compares these per request.
 _ADMIT = AdmissionDecision.ADMIT
 _DENY = AdmissionDecision.DENY
+_BUSY = SandboxState.BUSY
+_INITIALIZING = SandboxState.INITIALIZING
 
 _EPS = 1e-9
 _INF = float("inf")
@@ -196,16 +198,24 @@ class PlatformSimulator:
             self.bus.subscribe(SimEvent, bus.publish)
         if obs is not None:
             obs.attach(self._kernel, self.bus)
-        self._autoscaler: Optional[Autoscaler] = None
+        # (Up to 29 instance attributes keep CPython's compact shared-key
+        # instance dict; one more makes every attribute access slower.)
+        self._autoscale_process: Optional[AutoscalerProcess] = None
+        #: Whether the autoscaler process sleeps through an idle stretch:
+        #: demand (``_route``) and keep-alive expiry must wake it first.
+        self._asleep = False
         if platform.autoscaler is not None:
-            self._autoscaler = Autoscaler(
-                platform.autoscaler,
-                max_concurrency=platform.concurrency.max_concurrency,
-                alloc_vcpus=function.alloc_vcpus,
+            self._autoscale_process = AutoscalerProcess(
+                platform.autoscaler.evaluation_interval_s,
+                self._autoscale_tick,
+                autoscaler=Autoscaler(
+                    platform.autoscaler,
+                    max_concurrency=platform.concurrency.max_concurrency,
+                    alloc_vcpus=function.alloc_vcpus,
+                ),
+                replay=self._replay_tick,
             )
-            self._kernel.add_process(
-                AutoscalerProcess(platform.autoscaler.evaluation_interval_s, self._autoscale_tick)
-            )
+            self._kernel.add_process(self._autoscale_process)
 
     # ------------------------------------------------------------------
     # Public API
@@ -255,11 +265,32 @@ class PlatformSimulator:
     def run(self, arrivals: Sequence[float], horizon_s: Optional[float] = None) -> SimulationMetrics:
         """Simulate the given request arrival times; returns collected metrics."""
         horizon_s = self.schedule_arrivals(arrivals, horizon_s)
-        self._kernel.run(until=horizon_s + _EPS)
+        until = horizon_s + _EPS
+        kernel = self._kernel
+        kernel.run(until=until)
+        if self._asleep:
+            # The last tick slept through fires on the kernel when it lies
+            # after the clock, so the run ends on the clock an always-ticking
+            # autoscaler leaves (callers read ``kernel.now`` as the end time).
+            last_s = self._autoscale_process.last_skipped_tick(until)
+            if last_s is not None and last_s > kernel.now:
+                self._wake(last_s)
+                kernel.run(until=until)
+        self.replay_idle_ticks(until)
         self.metrics.pending_requests = self.pending_request_count
         if self._obs is not None:
             self._obs.finalize(horizon_s)
         return self.metrics
+
+    def replay_idle_ticks(self, until_s: float) -> None:
+        """Replay the autoscaler ticks slept through up to and including ``until_s``.
+
+        A co-simulation host calls this once its shared run has ended, so the
+        instance timeline and the autoscaler window end where an
+        always-ticking autoscaler leaves them.
+        """
+        if self._asleep:
+            self._autoscale_process.replay_through(until_s)
 
     @property
     def pending_request_count(self) -> int:
@@ -447,6 +478,8 @@ class PlatformSimulator:
         retry_wait_s: float = 0.0,
         origin_s: float = 0.0,
     ) -> None:
+        if self._asleep:
+            self._wake(self._now)
         sandbox = self._pick_sandbox()
         if sandbox is not None:
             self._admit(sandbox, request_id, arrival_s, cold=False,
@@ -859,6 +892,8 @@ class PlatformSimulator:
                     deadline, self._kind_keepalive_expire, {"sandbox": name, "deadline": deadline}
                 )
             return
+        if self._asleep:
+            self._wake(self._now)
         sandbox.terminate(self._now)
         self._discard_sandbox(sandbox)
         self.bus.publish(KeepAliveExpired(self._now, sandbox.name))
@@ -870,17 +905,22 @@ class PlatformSimulator:
     # ------------------------------------------------------------------
 
     def _autoscale_tick(self, now_s: float) -> None:
-        autoscaler = self._autoscaler
+        self._asleep = False  # a timer wake ticks too
+        autoscaler = self._autoscale_process.autoscaler
         # One pass over the pool, in registry order.  The busy allocations
         # still go through the builtin sum: from Python 3.12 on it rounds
         # float totals differently from a ``+=`` loop.
         active_requests = len(self._queue)
         busy = []
+        warming = False
         for sandbox in self._sandboxes.values():
             concurrency = sandbox.concurrency
             active_requests += concurrency
-            if sandbox.state is SandboxState.BUSY:
+            state = sandbox.state
+            if state is _BUSY:
                 busy.append(min(float(concurrency), sandbox.alloc_vcpus))
+            elif state is _INITIALIZING:
+                warming = True
         queue_weight = autoscaler.config.admission_queue_weight
         if self._feedback is not None and queue_weight > 0:
             # Queue-aware autoscaling: cold starts stuck in the fleet's
@@ -905,3 +945,54 @@ class PlatformSimulator:
                 self.bus.publish(SandboxEvicted(now_s, sandbox.name, reason="scale_down"))
         self._publish_instance_count()
         self._drain_queue()
+        # Requests parked behind a cold start always wait on an
+        # initializing sandbox, so ``warming`` covers ``_pending_cold``.
+        if desired <= current and not active_requests and not warming:
+            self._fall_asleep()
+
+    def _fall_asleep(self) -> None:
+        """Stop ticking through the idle stretch the current tick found.
+
+        Idle: a zero sample, every sandbox IDLE, nothing queued or
+        cold-starting, no scale-up.  Until a request is routed or a keep-alive
+        expires, each tick would observe another zero sample and keep the
+        count until a scale-down comes due: zeros only lower the window
+        averages, so the count cannot need to grow meanwhile.  The process
+        sleeps until the earliest tick a scale-down could fire at, and the
+        ticks in between are replayed (:meth:`_replay_tick`) when it wakes.
+
+        An unnamed simulator that scales on the admission queue reads the
+        *whole* queue, which other publishers can move without waking it,
+        so it never sleeps.
+        """
+        process = self._autoscale_process
+        if (
+            not self._id_prefix
+            and self._feedback is not None
+            and process.autoscaler.config.admission_queue_weight > 0
+        ):
+            return
+        self._asleep = True
+        process.sleep(len(self._sandboxes))
+
+    def _replay_tick(self, now_s: float) -> None:
+        """A tick slept through, evaluated late: the tick minus its wakeup and its publish.
+
+        Only called for ticks between a tick that found the function idle
+        and the next demand, before any state the tick reads has moved.
+        """
+        autoscaler = self._autoscale_process.autoscaler
+        autoscaler.observe(now_s, 0, 0)
+        current = len(self._sandboxes)
+        desired = autoscaler.desired_instances(now_s, current)
+        if desired != current:
+            raise RuntimeError(
+                f"{self.name or 'autoscaler'}: a tick slept through at t={now_s} wants "
+                f"{desired} instances, not {current}; sleeping through it was unsound"
+            )
+        self.metrics.record_instances(now_s, current)
+
+    def _wake(self, now_s: float) -> None:
+        """Replay the ticks slept through before ``now_s`` and resume ticking."""
+        self._asleep = False
+        self._autoscale_process.wake(now_s, self._kernel)

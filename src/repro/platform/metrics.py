@@ -16,9 +16,10 @@ collector therefore keeps *incremental* aggregates next to the raw records:
 ``retain_outcomes=False`` additionally drops the per-request
 :class:`RequestOutcome` and :class:`FailedRequest` objects (the aggregates
 above, and integer failure counters, are kept), bounding memory for
-million-request benchmark runs.  Record-level views (``duration_timeline``,
-``attempt_counts``) raise in that mode instead of silently returning empty
-results.
+million-request benchmark runs.  The per-tick instance series shrinks to its
+running maximum too, the one thing read from it in that mode.  Record-level
+views (``duration_timeline``, ``attempt_counts``) raise in that mode instead
+of silently returning empty results.
 """
 
 from __future__ import annotations
@@ -143,7 +144,8 @@ class SimulationMetrics:
     #: outlived the horizon).  Neither completed nor failed -- censored --
     #: but they must not vanish from a saturated run's accounting.
     pending_requests: int = 0
-    #: (time, instance count) samples over the simulation.
+    #: (time, instance count) samples over the simulation.  Empty under
+    #: ``retain_outcomes=False``, which keeps only their maximum.
     instance_timeline: List[Tuple[float, int]] = field(default_factory=list)
     cold_starts: int = 0
     #: Arrival events that actually fired, retries included.  The conservation
@@ -184,6 +186,8 @@ class SimulationMetrics:
         self._failed: int = 0
         self._gave_up: int = 0
         self._gave_up_attempts_sum: int = 0
+        #: Running maximum of the instance counts (record-free mode).
+        self._max_instances: int = 0
 
     def record(self, outcome: RequestOutcome) -> None:
         if self.retain_outcomes:
@@ -228,7 +232,10 @@ class SimulationMetrics:
             self.retry_arrivals += 1
 
     def record_instances(self, now_s: float, count: int) -> None:
-        self.instance_timeline.append((now_s, count))
+        if self.retain_outcomes:
+            self.instance_timeline.append((now_s, count))
+        elif count > self._max_instances:
+            self._max_instances = count
 
     def _require_outcomes(self, what: str) -> None:
         if not self.retain_outcomes and (self._completed or self._failed):
@@ -350,6 +357,8 @@ class SimulationMetrics:
         return self.slo_attained / self._completed
 
     def max_instances(self) -> int:
+        if not self.retain_outcomes:
+            return self._max_instances
         if not self.instance_timeline:
             return 0
         return max(count for _, count in self.instance_timeline)

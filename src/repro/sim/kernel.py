@@ -10,11 +10,15 @@ participants coexist:
 - **Polled processes**: objects that compute their own next event time
   (e.g. the CPU-bandwidth scheduler, whose next event depends on mutable
   state such as remaining quota).  The kernel asks a process for
-  ``next_event_time`` only when it is registered and right after each of
-  its own ``handle`` calls, and keeps the answer as a wakeup entry on a
-  second heap keyed ``(time, registration rank)``.  A process's wake time
-  may therefore change only inside its own ``handle``; a process that
-  answers ``None`` is never woken again.
+  ``next_event_time`` only when it is registered, right after each of its
+  own ``handle`` calls, and when :meth:`SimulationKernel.rearm` is called
+  for it, and keeps the answer as a wakeup entry on a second heap keyed
+  ``(time, registration rank)``.  A process's wake time may therefore
+  change only inside its own ``handle``, with one exception: whoever
+  changes it from outside (a heap event's handler, another process's
+  ``handle``) calls ``rearm(process)`` right away, which supersedes the
+  pending wakeup.  A process that answers ``None`` is never woken again
+  unless it is rearmed.
 
 At equal times heap events fire before process wakeups, and among processes
 registration order breaks ties.  The clock never moves backwards: it
@@ -74,12 +78,14 @@ class Event:
 class SimProcess(Protocol):
     """A co-simulated component that computes its own next event time.
 
-    The kernel consults ``next_event_time`` when the process is registered
-    and right after each ``handle`` call, never in between: the answer may
-    depend on the process's state, but that state may change only inside
-    its own ``handle``.  ``handle`` is called once the clock has advanced to
-    the answered time.  Returning ``None`` means the process has nothing
-    left to do; it is then never woken again.
+    The kernel consults ``next_event_time`` when the process is registered,
+    right after each ``handle`` call and on :meth:`SimulationKernel.rearm`,
+    never in between: the answer may depend on the process's state, but
+    that state may change only inside its own ``handle`` -- or outside it,
+    provided ``kernel.rearm(process)`` follows before the kernel moves on.
+    ``handle`` is called once the clock has advanced to the answered time.
+    Returning ``None`` means the process has nothing left to do; it is then
+    never woken again unless it is rearmed.
     """
 
     def next_event_time(self, now: float) -> Optional[float]:
@@ -143,10 +149,17 @@ class SimulationKernel:
         #: ``handle``, or a profiled wrapper of it) and its ``periodic`` flag.
         self._process_handles: List[Callable[[float], None]] = []
         self._periodic: List[bool] = []
-        #: Min-heap of (wake time, rank, process): at most one entry per
-        #: process.  Ranks are unique, so sifts never compare the processes.
+        #: Min-heap of (wake time, rank, process).  Each process has at most
+        #: one *live* entry, the one ``_armed[rank]`` holds (by identity);
+        #: an entry superseded by :meth:`rearm` stays on the heap and is
+        #: dropped when it reaches the head, never dispatched or counted.
+        #: A superseded entry may tie a live one on ``(time, rank)``; the
+        #: sift then compares the processes for equality only, never order.
         self._wakeups: List[Tuple[float, int, SimProcess]] = []
-        #: Entries on ``_wakeups`` owned by non-periodic processes.
+        self._armed: List[Optional[Tuple[float, int, SimProcess]]] = []
+        #: Registration rank by ``id(process)``, for :meth:`rearm`.
+        self._rank_of: Dict[int, int] = {}
+        #: Live entries on ``_wakeups`` owned by non-periodic processes.
         self._nonperiodic_wakeups = 0
         self._paused = False
         # Dormant profiling slot (see repro.obs.profile): None dispatches the
@@ -205,14 +218,37 @@ class SimulationKernel:
         self._processes.append(process)
         self._process_handles.append(self._woken(process))
         self._periodic.append(bool(getattr(process, "periodic", False)))
+        self._armed.append(None)
+        self._rank_of[id(process)] = rank
         self._arm(rank, process)
 
+    def rearm(self, process: SimProcess) -> None:
+        """Ask a registered process again for its next event time.
+
+        The one way to move a process's wake time from outside its own
+        ``handle``: call it right after changing the state the answer
+        depends on.  The new answer supersedes the pending wakeup (a
+        superseded wakeup is dropped unseen: it is never dispatched, counted
+        or allowed to move the clock), and it keeps the process's
+        registration rank, so at any instant the process fires after that
+        instant's heap events and in rank order among the processes still
+        to fire there.  Answering ``None`` cancels the pending wakeup.
+        """
+        self._arm(self._rank_of[id(process)], process)
+
     def _arm(self, rank: int, process: SimProcess) -> None:
-        """Ask ``process`` for its next event time and queue that wakeup."""
+        """Ask ``process`` for its next event time; that wakeup supersedes any pending one."""
+        periodic = self._periodic[rank]
+        if self._armed[rank] is not None:
+            self._armed[rank] = None
+            if not periodic:
+                self._nonperiodic_wakeups -= 1
         wake_s = process.next_event_time(self._now)
         if wake_s is not None:
-            _heappush(self._wakeups, (wake_s, rank, process))
-            if not self._periodic[rank]:
+            entry = (wake_s, rank, process)
+            self._armed[rank] = entry
+            _heappush(self._wakeups, entry)
+            if not periodic:
                 self._nonperiodic_wakeups += 1
 
     # ------------------------------------------------------------------
@@ -320,6 +356,10 @@ class SimulationKernel:
             pruned += 1
         if pruned and self._profiler is not None:
             self._profiler.record_prunes(pruned)
+        wakeups = self._wakeups
+        armed = self._armed
+        while wakeups and armed[wakeups[0][1]] is not wakeups[0]:
+            heapq.heappop(wakeups)
 
     def peek(self) -> Optional[float]:
         """Time of the next event (heap or process) without executing it."""
@@ -351,7 +391,7 @@ class SimulationKernel:
             self._handler_for(event.kind)(event)
             return event
         if wakeups:
-            process = self._wake_next()
+            process = self._wake(heapq.heappop(wakeups))
             return Event(self._now, -1, "process", {"process": process})
         return None
 
@@ -361,9 +401,10 @@ class SimulationKernel:
             raise KeyError(f"no handler registered for event kind {kind!r}")
         return handler
 
-    def _wake_next(self) -> SimProcess:
-        """Pop the earliest process wakeup, let it handle it, and re-arm it."""
-        wake_s, rank, process = heapq.heappop(self._wakeups)
+    def _wake(self, entry: Tuple[float, int, SimProcess]) -> SimProcess:
+        """Dispatch a popped live wakeup: let its process handle it, then re-arm it."""
+        wake_s, rank, process = entry
+        self._armed[rank] = None
         if not self._periodic[rank]:
             self._nonperiodic_wakeups -= 1
         # Hand the process its *raw* wake time: a process whose
@@ -409,6 +450,7 @@ class SimulationKernel:
         executed = 0
         heap = self._heap
         wakeups = self._wakeups
+        armed = self._armed
         handlers = self._handlers
         heappop = heapq.heappop
         while True:
@@ -437,9 +479,13 @@ class SimulationKernel:
                     handler = self._handler_for(event.kind)
                 handler(event)
             else:
-                if wakeups[0][0] > horizon:
+                entry = wakeups[0]
+                if entry[0] > horizon:
                     break
-                self._wake_next()
+                heappop(wakeups)
+                if armed[entry[1]] is not entry:
+                    continue  # superseded by rearm()
+                self._wake(entry)
             executed += 1
             if executed == limit or self._paused or (stop is not None and stop()):
                 break

@@ -44,7 +44,19 @@ import numpy as np
 from repro.sim.events import EventBus, RequestFailed, RetryScheduled
 from repro.sim.rng import RngStreams
 
-__all__ = ["RetryPolicy", "RetryLoop", "RetryInjector", "resolve_retry"]
+__all__ = ["RetryPolicy", "RetryLoop", "RetryInjector", "resolve_retry", "RETRY_PARAMS"]
+
+#: Every sweep-grid param :func:`resolve_retry` reads.
+RETRY_PARAMS = (
+    "retry",
+    "retry_max_attempts",
+    "retry_base_backoff_s",
+    "retry_backoff_multiplier",
+    "retry_max_backoff_s",
+    "retry_jitter",
+    "retry_budget",
+    "retry_deadline_s",
+)
 
 
 def resolve_retry(

@@ -40,6 +40,7 @@ __all__ = [
     "SweepPointError",
     "build_grid",
     "platform_point",
+    "reject_unknown_params",
     "resolve_platform",
     "resolve_runner",
     "resolve_workload",
@@ -50,6 +51,26 @@ __all__ = [
 
 RowOrRows = Union[Mapping[str, object], Sequence[Mapping[str, object]]]
 Runner = Callable[[Mapping[str, object], int], RowOrRows]
+
+
+def reject_unknown_params(
+    params: Mapping[str, object], known: Sequence[str], runner: str
+) -> None:
+    """Raise ``ValueError`` naming every param ``runner`` does not read.
+
+    A misspelled key would otherwise fall back to the default silently and
+    return the default row; the message gives each unknown key's closest
+    known key.
+    """
+    unknown = sorted(key for key in params if key not in known)
+    if unknown:
+        import difflib
+
+        hints = ", ".join(
+            f"{key!r} (did you mean {difflib.get_close_matches(key, known, n=1, cutoff=0.0)[0]!r}?)"
+            for key in unknown
+        )
+        raise ValueError(f"{runner}: unknown param(s) {hints}")
 
 
 @dataclass(frozen=True)

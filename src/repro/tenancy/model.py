@@ -24,7 +24,18 @@ import math
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Tuple, Union
 
-__all__ = ["TenantConfig", "resolve_tenants"]
+__all__ = ["TenantConfig", "resolve_tenants", "TENANT_PARAMS"]
+
+#: Every sweep-grid param :func:`resolve_tenants` reads.
+TENANT_PARAMS = (
+    "tenants",
+    "tenant_credit_capacity",
+    "tenant_credit_refill_per_s",
+    "tenant_request_cost",
+    "tenant_on_exhausted",
+    "tenant_max_queued",
+    "tenant_slo_latency_s",
+)
 
 #: Valid values of :attr:`TenantConfig.on_exhausted`.
 _EXHAUSTION_POLICIES = ("deny", "queue")

@@ -122,8 +122,9 @@ steps = st.lists(
         # than any window (which empty it).
         "gap_s": st.one_of(st.sampled_from([0.0, 0.5, 2.0, 3.0, 70.0]),
                            st.floats(0.0, 12.0, allow_nan=False)),
-        "active": st.integers(0, 2000),
-        "busy": busy_sandboxes,
+        # Runs of zero samples (idle ticks) exercise the cached window sums.
+        "active": st.one_of(st.just(0), st.integers(0, 2000)),
+        "busy": st.one_of(st.just([]), busy_sandboxes),
         "current": st.integers(0, 40),
         # Decide later than the sample (0 = at the sample time).
         "decide_after_s": st.sampled_from([0.0, 0.0, 1.0, 5.9, 6.0, 59.0, 61.0]),

@@ -276,6 +276,80 @@ class TestWakeupContract:
         assert kernel.run() == 0
         assert process.fired == []
 
+    def test_rearm_applies_a_change_made_outside_handle(self):
+        kernel = SimulationKernel()
+        process = _CountdownProcess([])
+        kernel.add_process(process)
+        process.remaining.append(1.0)
+        kernel.rearm(process)
+        assert kernel.peek() == 1.0
+        assert kernel.run() == 1
+        assert process.fired == [1.0]
+
+    def test_rearm_supersedes_the_pending_wakeup(self):
+        kernel = SimulationKernel()
+        process = _CountdownProcess([5.0])
+        kernel.add_process(process)
+        process.remaining[0] = 2.0
+        kernel.rearm(process)
+        process.remaining[:] = []
+        kernel.rearm(process)  # answers None: nothing stays pending
+        assert kernel.peek() is None
+        assert kernel.step() is None
+        assert kernel.run() == 0
+        assert kernel.now == 0.0
+        assert process.fired == []
+
+    def test_rearm_from_a_heap_event_at_a_grid_instant_still_ticks_after_its_events(self):
+        kernel = SimulationKernel()
+        log = []
+        grid = PeriodicProcess(1.0, lambda now: log.append(("tick", now)))
+        kernel.add_process(grid)
+
+        def rearming(event):
+            log.append(("a", event.time))
+            kernel.rearm(grid)
+
+        kernel.on("a", rearming)
+        kernel.on("b", lambda event: log.append(("b", event.time)))
+        kernel.schedule(2.0, "a")
+        kernel.schedule(2.0, "b")
+        assert kernel.run(until=3.0) == 6
+        assert log == [
+            ("tick", 0.0), ("tick", 1.0), ("a", 2.0), ("b", 2.0), ("tick", 2.0), ("tick", 3.0),
+        ]
+
+    def test_rearm_from_a_higher_ranked_handle_does_not_tick_twice(self):
+        kernel = SimulationKernel()
+        log = []
+        low = PeriodicProcess(1.0, lambda now: log.append(("low", now)))
+
+        def high_tick(now):
+            log.append(("high", now))
+            kernel.rearm(low)  # low already ticked at this instant
+
+        kernel.add_process(low)
+        kernel.add_process(PeriodicProcess(1.0, high_tick))
+        assert kernel.run(until=2.0) == 6
+        assert log == [
+            ("low", 0.0), ("high", 0.0), ("low", 1.0), ("high", 1.0), ("low", 2.0), ("high", 2.0),
+        ]
+
+    def test_superseded_wakeups_keep_the_nonperiodic_count_exact(self):
+        kernel = SimulationKernel()
+        process = _CountdownProcess([1.0])
+        kernel.add_process(process)
+        kernel.add_process(PeriodicProcess(1.0, lambda now: None))
+        for _ in range(3):
+            kernel.rearm(process)
+        assert kernel._nonperiodic_wakeups == 1
+        # One non-periodic wakeup keeps an unbounded run going through it.
+        # Periodic at 0.0, the process at 1.0; then only periodic ticks remain.
+        assert kernel.run() == 2
+        assert process.fired == [1.0]
+        assert kernel._nonperiodic_wakeups == 0
+        assert kernel.run() == 0
+
     def test_profiler_installed_after_registration_wraps_existing_entries(self):
         kernel = SimulationKernel()
         kernel.on("a", lambda event: None)
@@ -328,6 +402,9 @@ class _PollingKernel:
 
     def add_process(self, process):
         self._processes.append(process)
+
+    def rearm(self, process):
+        """Nothing to do: every process is polled before every event anyway."""
 
     def schedule(self, time_s, kind, data=None):
         event = Event(float(time_s), self._seq, kind, {} if data is None else data)
@@ -406,6 +483,10 @@ class _StatefulProcess:
         self._log.append((self._name, now))
         self._next_s = now + self._delays.pop(0) if self._delays else None
 
+    def retarget(self, now, delay):
+        """Move the next wake from outside ``handle`` (the caller then rearms)."""
+        self._next_s = None if delay is None else now + delay
+
 
 #: A coarse time grid so heap events, periodic grids and process wakeups collide.
 _TIMES = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.5])
@@ -413,12 +494,16 @@ _DELAYS = st.sampled_from([0.0, 0.5, 1.0, 2.5])
 _PROCESS = st.one_of(
     st.tuples(st.just("periodic"), st.sampled_from([0.5, 1.0, 1.5, 2.0]), st.sampled_from([0.0, 0.5, 1.0])),
     st.tuples(st.just("stateful"), _TIMES, st.lists(_DELAYS, max_size=4)),
+    # A periodic process whose ticks run actions (rearms included), so
+    # rearm is also called from process handles, not only heap events.
+    st.tuples(st.just("acting"), st.sampled_from([1.0, 1.5]), st.sampled_from([0.0, 0.5]), st.integers(0, 7)),
 )
 _ACTION = st.one_of(
     st.tuples(st.just("schedule"), _DELAYS, st.sampled_from(["a", "b", "c"])),
     st.tuples(st.just("cancel"), st.integers(0, 40)),
     st.tuples(st.just("pause")),
     st.tuples(st.just("add_process"), _PROCESS),
+    st.tuples(st.just("rearm"), st.integers(0, 7), st.one_of(st.none(), _DELAYS)),
 )
 _DRIVE = st.one_of(
     st.tuples(st.just("schedule"), _TIMES, st.sampled_from(["a", "b", "c"])),
@@ -432,6 +517,7 @@ _DRIVE = st.one_of(
     ),
     st.tuples(st.just("step")),
     st.tuples(st.just("peek")),
+    st.tuples(st.just("rearm"), st.integers(0, 7), st.one_of(st.none(), _DELAYS)),
 )
 
 
@@ -439,13 +525,20 @@ class _Scenario:
     """Drives one kernel through a generated program; records what it saw."""
 
     MAX_SCHEDULED = 60
+    #: Rearms retarget non-periodic processes; unbounded, an acting periodic
+    #: process could keep one pending forever and an unbounded run would
+    #: never end.
+    MAX_REARMS = 40
+    #: Acting processes add processes on every tick; bounded for the same reason.
+    MAX_PROCESSES = 12
 
     def __init__(self, kernel, actions):
         self.kernel = kernel
         self.actions = actions
         self.log = []
         self.handles = []
-        self.processes = 0
+        self.processes = []
+        self.rearms = 0
         kernel.on("a", self._fire)
         kernel.on("b", self._fire)
         kernel.on_default(self._fire)  # kind "c"
@@ -463,16 +556,36 @@ class _Scenario:
         self.handles.append(schedule(time_s, kind, data))
 
     def _add_process(self, spec):
-        name = f"p{self.processes}"
-        self.processes += 1
+        if len(self.processes) >= self.MAX_PROCESSES:
+            return
+        name = f"p{len(self.processes)}"
+        log = self.log
         if spec[0] == "periodic":
-            log = self.log
             process = PeriodicProcess(
                 spec[1], lambda now: log.append((name, now)), start_s=spec[2]
             )
+        elif spec[0] == "acting":
+            actions = self.actions[spec[3] % len(self.actions)]
+
+            def act(now):
+                log.append((name, now))
+                for action in actions:
+                    self.apply(action)
+
+            process = PeriodicProcess(spec[1], act, start_s=spec[2])
         else:
             process = _StatefulProcess(self.log, name, spec[1], spec[2])
+        self.processes.append(process)
         self.kernel.add_process(process)
+
+    def _rearm(self, index, delay):
+        if not self.processes or self.rearms >= self.MAX_REARMS:
+            return
+        self.rearms += 1
+        process = self.processes[index % len(self.processes)]
+        if isinstance(process, _StatefulProcess):
+            process.retarget(self.kernel.now, delay)
+        self.kernel.rearm(process)
 
     def apply(self, action):
         op = action[0]
@@ -485,6 +598,8 @@ class _Scenario:
             self.kernel.pause()
         elif op == "add_process":
             self._add_process(action[1])
+        elif op == "rearm":
+            self._rearm(action[1], action[2])
 
     def drive(self, program):
         kernel = self.kernel
