@@ -103,6 +103,16 @@ class Autoscaler:
         #: ``sum``, so the cached totals stay exact while only zeros move.
         self._sums: Optional[Tuple[float, float]] = None
         self._last_scale_down_candidate: float = 0.0
+        # See zero_samples_cannot_scale_up.  The grid starts at 0, which is
+        # a multiple of every power of two.
+        unit = min(
+            _power_of_two_divisor(value)
+            for value in (config.evaluation_interval_s, config.metric_window_s, config.panic_window_s)
+            if value > 0
+        )
+        self._steady_window_before_s = (
+            2.0**53 * unit - config.metric_window_s - config.evaluation_interval_s
+        )
 
     def observe(self, now_s: float, active_requests: float, busy_vcpus: float) -> None:
         """Record one metric sample (the simulator calls this every evaluation tick).
@@ -191,6 +201,54 @@ class Autoscaler:
             self._last_scale_down_candidate = 0.0
         return desired_count
 
+    def zero_samples_cannot_scale_up(self, now_s: float) -> bool:
+        """Whether zero samples from the grid tick ``now_s`` on only lower the averages.
+
+        The owner evaluates on the grid stepped ``+= evaluation_interval_s``
+        from 0.  While only zero samples arrive, the window totals can only
+        shrink as older samples leave; the averages shrink with them unless
+        the window also loses a sample, and inexact grid steps can make it
+        lose one.  On a 0.3 s grid with a 3 s window, the window holds 11
+        samples but only 10 at t = 8.7, because the rounded step changes
+        across t = 8.  The same totals then average 10 % higher, which can
+        ask for one more instance.  When the interval and both windows are
+        whole multiples of one power of two ``u``, every grid time and cutoff
+        below ``2**53 * u`` is exact, so a full window always holds the same
+        number of samples.  The samples in the window at ``now_s`` have all
+        left it by ``now_s + metric_window_s``.  After that the totals are
+        zero and the window size no longer matters.
+        """
+        return now_s < self._steady_window_before_s
+
+    def next_scale_down_tick(
+        self, first_s: float, interval_s: float, instances: int
+    ) -> Optional[float]:
+        """The earliest grid tick from ``first_s`` on at which idle ticks could scale in.
+
+        The grid is ``first_s``, ``first_s + interval_s``, ... stepped with
+        ``+=`` as :class:`~repro.sim.kernel.PeriodicProcess` steps it, and
+        ``instances`` is the pool size.  At ``min_instances`` or below no
+        scale-down can happen, so the answer is ``None``.  Otherwise it is
+        the first tick ``t`` with ``t - base >= scale_down_delay_s``.  Here
+        ``base`` is the time the pending wish to scale in first appeared or,
+        when none is pending (``0.0``), ``first_s``: no later wish can let a
+        scale-down fire sooner.
+        """
+        cfg = self.config
+        if instances <= cfg.min_instances:
+            return None
+        base = self._last_scale_down_candidate or first_s
+        tick = first_s
+        while tick - base < cfg.scale_down_delay_s:
+            tick += interval_s
+        return tick
+
+
+def _power_of_two_divisor(value: float) -> float:
+    """The largest power of two that divides ``value`` (every float is dyadic)."""
+    numerator, denominator = value.as_integer_ratio()
+    return (numerator & -numerator) / denominator
+
 
 class AutoscalerProcess(PeriodicProcess):
     """The autoscaler as a polled kernel process.
@@ -208,8 +266,9 @@ class AutoscalerProcess(PeriodicProcess):
     may call :meth:`sleep`: the process stops ticking and remembers the first
     grid tick it skips.  Until demand returns, every skipped tick would
     observe a zero sample and keep the instance count, except that a
-    scale-down may come due; so the process sets a timer only for the
-    earliest grid tick at which one could fire.  The owner wakes it on demand
+    scale-down may come due; so the owner passes a timer for the earliest
+    grid tick at which one could fire
+    (:meth:`Autoscaler.next_scale_down_tick`).  The owner wakes it on demand
     with :meth:`wake`, which first hands every skipped tick before ``now`` to
     ``replay`` (in grid order, stepping the grid exactly as ticking would)
     and then re-arms the process on the kernel; :meth:`replay_through`
@@ -223,12 +282,10 @@ class AutoscalerProcess(PeriodicProcess):
         callback: Callable[[float], None],
         start_s: float = 0.0,
         *,
-        autoscaler: Optional[Autoscaler] = None,
         replay: Optional[Callable[[float], None]] = None,
     ) -> None:
         super().__init__(interval_s, callback, start_s)
-        #: The decisions this process schedules (needed to sleep).
-        self.autoscaler = autoscaler
+        #: Evaluates one skipped tick; a process without it never sleeps.
         self._replay = replay
         #: While asleep: the first grid tick not evaluated yet.  ``None``
         #: while awake.  (Asleep, ``_next_tick_s`` is the timer, or ``None``.)
@@ -242,28 +299,16 @@ class AutoscalerProcess(PeriodicProcess):
         self._next_tick_s += self.interval_s
         self._callback(now)
 
-    def sleep(self, instances: int) -> None:
+    def sleep(self, timer_s: Optional[float]) -> None:
         """Stop ticking after the current tick; call it from the tick callback.
 
-        ``instances`` is the pool size the tick left.  At the autoscaler's
-        minimum no scale-down can happen, so no timer is set.  Otherwise the
-        timer is the first grid tick ``t`` with
-        ``t - base >= scale_down_delay_s``, where ``base`` is the time the
-        pending wish to scale in first appeared or, when none is pending
-        (``0.0``), the first skipped tick: no later candidate can let a
-        scale-down fire sooner.
+        ``timer_s`` is the grid tick at which the process wakes by itself
+        (``None``: only :meth:`wake` wakes it).
         """
-        first = self._next_tick_s
-        self._skipped_s = first
-        config = self.autoscaler.config
-        if instances <= config.min_instances:
-            self._next_tick_s = None
-            return
-        base = self.autoscaler._last_scale_down_candidate or first
-        tick = first
-        while tick - base < config.scale_down_delay_s:
-            tick += self.interval_s
-        self._next_tick_s = tick
+        if self._replay is None:
+            raise RuntimeError("an AutoscalerProcess without replay cannot sleep")
+        self._skipped_s = self._next_tick_s
+        self._next_tick_s = timer_s
 
     def wake(self, now: float, kernel) -> None:
         """Replay the ticks slept through strictly before ``now`` and tick on.

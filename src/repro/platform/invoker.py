@@ -198,21 +198,23 @@ class PlatformSimulator:
             self.bus.subscribe(SimEvent, bus.publish)
         if obs is not None:
             obs.attach(self._kernel, self.bus)
-        # (Up to 29 instance attributes keep CPython's compact shared-key
-        # instance dict; one more makes every attribute access slower.)
+        # (Up to 30 instance attributes keep CPython 3.11's compact
+        # shared-key instance dict; one more makes every attribute access
+        # slower.)
+        self._autoscaler: Optional[Autoscaler] = None
         self._autoscale_process: Optional[AutoscalerProcess] = None
         #: Whether the autoscaler process sleeps through an idle stretch:
         #: demand (``_route``) and keep-alive expiry must wake it first.
         self._asleep = False
         if platform.autoscaler is not None:
+            self._autoscaler = Autoscaler(
+                platform.autoscaler,
+                max_concurrency=platform.concurrency.max_concurrency,
+                alloc_vcpus=function.alloc_vcpus,
+            )
             self._autoscale_process = AutoscalerProcess(
                 platform.autoscaler.evaluation_interval_s,
                 self._autoscale_tick,
-                autoscaler=Autoscaler(
-                    platform.autoscaler,
-                    max_concurrency=platform.concurrency.max_concurrency,
-                    alloc_vcpus=function.alloc_vcpus,
-                ),
                 replay=self._replay_tick,
             )
             self._kernel.add_process(self._autoscale_process)
@@ -906,7 +908,7 @@ class PlatformSimulator:
 
     def _autoscale_tick(self, now_s: float) -> None:
         self._asleep = False  # a timer wake ticks too
-        autoscaler = self._autoscale_process.autoscaler
+        autoscaler = self._autoscaler
         # One pass over the pool, in registry order.  The busy allocations
         # still go through the builtin sum: from Python 3.12 on it rounds
         # float totals differently from a ``+=`` loop.
@@ -948,32 +950,42 @@ class PlatformSimulator:
         # Requests parked behind a cold start always wait on an
         # initializing sandbox, so ``warming`` covers ``_pending_cold``.
         if desired <= current and not active_requests and not warming:
-            self._fall_asleep()
+            self._fall_asleep(now_s)
 
-    def _fall_asleep(self) -> None:
-        """Stop ticking through the idle stretch the current tick found.
+    def _fall_asleep(self, now_s: float) -> None:
+        """Stop ticking through the idle stretch the tick at ``now_s`` found.
 
         Idle: a zero sample, every sandbox IDLE, nothing queued or
         cold-starting, no scale-up.  Until a request is routed or a keep-alive
         expires, each tick would observe another zero sample and keep the
-        count until a scale-down comes due: zeros only lower the window
-        averages, so the count cannot need to grow meanwhile.  The process
+        count until a scale-down comes due, provided those zeros can only
+        lower the window averages
+        (:meth:`~repro.platform.autoscaler.Autoscaler.zero_samples_cannot_scale_up`:
+        not on a grid whose rounding can shrink the window).  The process
         sleeps until the earliest tick a scale-down could fire at, and the
         ticks in between are replayed (:meth:`_replay_tick`) when it wakes.
 
         An unnamed simulator that scales on the admission queue reads the
         *whole* queue, which other publishers can move without waking it,
-        so it never sleeps.
+        so it never sleeps.  A named one reads only its own sandboxes' share,
+        and none of them is queued while the pool is idle.
         """
-        process = self._autoscale_process
+        autoscaler = self._autoscaler
+        if not autoscaler.zero_samples_cannot_scale_up(now_s):
+            return
         if (
             not self._id_prefix
             and self._feedback is not None
-            and process.autoscaler.config.admission_queue_weight > 0
+            and autoscaler.config.admission_queue_weight > 0
         ):
             return
+        process = self._autoscale_process
         self._asleep = True
-        process.sleep(len(self._sandboxes))
+        process.sleep(
+            autoscaler.next_scale_down_tick(
+                process.next_event_time(now_s), process.interval_s, len(self._sandboxes)
+            )
+        )
 
     def _replay_tick(self, now_s: float) -> None:
         """A tick slept through, evaluated late: the tick minus its wakeup and its publish.
@@ -981,7 +993,7 @@ class PlatformSimulator:
         Only called for ticks between a tick that found the function idle
         and the next demand, before any state the tick reads has moved.
         """
-        autoscaler = self._autoscale_process.autoscaler
+        autoscaler = self._autoscaler
         autoscaler.observe(now_s, 0, 0)
         current = len(self._sandboxes)
         desired = autoscaler.desired_instances(now_s, current)

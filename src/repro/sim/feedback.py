@@ -262,10 +262,16 @@ class FeedbackChannel:
         ones, so this depth -- and everything scaling or placing on it
         (queue-aware autoscaling, ``COST_FIT``) -- sees the amplified load
         retrying clients actually offer, not just the first-attempt load.
+
+        Only the prefix's own sandboxes count: ``a/`` does not claim
+        ``a/b/sandbox-...``, the sandbox of a function named ``a/b``.
         """
         if not prefix:
             return len(self._queued)
-        return sum(1 for name in self._queued if name.startswith(prefix))
+        start = len(prefix)
+        return sum(
+            1 for name in self._queued if name.startswith(prefix) and "/" not in name[start:]
+        )
 
     def set_tenant_prefixes(self, prefixes: Dict[str, Tuple[str, ...]]) -> None:
         """Declare which simulator id prefixes each tenant owns.

@@ -33,7 +33,7 @@ AUTOSCALED_PRESETS = ("gcp_run_like", "azure_consumption_like", "ibm_code_engine
 
 def _always_ticking():
     """Patch the sleep entry off: every autoscaler tick then runs on the kernel."""
-    return mock.patch.object(PlatformSimulator, "_fall_asleep", lambda self: None)
+    return mock.patch.object(PlatformSimulator, "_fall_asleep", lambda self, now_s: None)
 
 
 def _platform(preset, autoscaler, keep_alive_s):
@@ -52,7 +52,7 @@ def _platform(preset, autoscaler, keep_alive_s):
 
 def _state(simulator):
     """Everything sleeping may not change, for one platform simulator."""
-    scaler = simulator._autoscale_process.autoscaler
+    scaler = simulator._autoscaler
     metrics = simulator.metrics
     return {
         "instance_timeline": list(metrics.instance_timeline),
@@ -117,14 +117,16 @@ _CLUSTER = st.fixed_dictionaries(
 )
 
 
-def _cluster(spec):
+def _cluster(spec, names=None):
     platform = _platform(spec["preset"], spec["autoscaler"], spec["keep_alive_s"])
     deployments = []
     for index, rps in enumerate(spec["rps"]):
         function = PYAES_FUNCTION.to_function_config(1.0, 2.0, init_duration_s=0.5)
         deployments.append(
             FunctionDeployment(
-                function=dataclasses.replace(function, name=f"fn-{index}"),
+                function=dataclasses.replace(
+                    function, name=f"fn-{index}" if names is None else names[index]
+                ),
                 platform=platform,
                 rps=rps,
                 duration_s=spec["duration_s"],
@@ -164,8 +166,8 @@ def _cluster(spec):
     )
 
 
-def _run_cluster(spec):
-    simulator = _cluster(spec)
+def _run_cluster(spec, names=None):
+    simulator = _cluster(spec, names)
     result = simulator.run(horizon_s=spec["horizon_s"])
     states = {name: _state(sim) for name, sim in simulator.simulators.items()}
     return states, repr(sorted(result.summary().items()))
@@ -181,10 +183,10 @@ def _spec(**overrides):
     }
 
 
-def _equal_to_always_ticking(spec):
+def _equal_to_always_ticking(spec, names=None):
     with _always_ticking():
-        expected = _run_cluster(spec)
-    actual = _run_cluster(spec)
+        expected = _run_cluster(spec, names)
+    actual = _run_cluster(spec, names)
     assert actual == expected
     return actual
 
@@ -241,6 +243,28 @@ class TestClusterEquivalence:
         row = _equal_to_always_ticking(spec)[1]
         # Both arrivals' cold starts, then two per tick on the 2 s grid to 30 s.
         assert "('rejected_no_capacity', 34.0)" in row
+
+    def test_nested_function_names_read_only_their_own_admission_queue(self):
+        # ``a``'s id prefix ``a/`` also starts ``a/b``'s sandbox names.  ``a``
+        # sleeps while ``a/b`` keeps cold starts queued on the one host, so
+        # ``a``'s queue signal must not count them.
+        spec = _spec(
+            autoscaler={"admission_queue_weight": 4.0, "metric_window_s": 4.0,
+                        "evaluation_interval_s": 1.0, "scale_down_delay_s": 10.0,
+                        "target_concurrency_fraction": 0.05},
+            keep_alive_s=2.0,
+            rps=[0.25, 4.0],
+            duration_s=9.0,
+            poisson=True,
+            horizon_s=40.0,
+            feedback="on",
+            max_hosts=1,
+            queue_depth=4,
+            seed=2,
+        )
+        with _counting_replays() as counted:
+            _equal_to_always_ticking(spec, names=["a", "a/b"])
+        assert counted.replayed > 0
 
     def test_arrival_exactly_on_a_grid_tick(self):
         # 0.5 rps from t=0 on a 2 s grid: every arrival lands on a tick, and
@@ -305,6 +329,71 @@ class TestStandaloneEquivalence:
         assert counted.replayed > 0
         # The last tick on the 2 s grid at or before the horizon.
         assert actual[1] == 30.0
+
+
+class TestInexactGrid:
+    """Grids whose rounding can shrink the window must not sleep.
+
+    On a 0.3 s grid the ticks are stepped ``+= 0.3`` and rounded; the step
+    changes across t = 8, so a 3 s window holds 11 samples at t = 8.4 but
+    only 10 at t = 8.7.  The same totals then average 10 % higher.
+    """
+
+    # One instance's target is exactly one active request, and only the
+    # concurrency signal matters (no panic, CPU target at the allocation).
+    AUTOSCALER = {
+        "metric_window_s": 3.0,
+        "target_concurrency_fraction": 0.0125,  # x 80 = 1.0
+        "target_cpu_utilization": 1.0,
+        "panic_threshold": 0.0,
+        "scale_down_delay_s": 100.0,
+    }
+    # A warm-up request, then 9 at once: the burst's samples are still in
+    # the window at t = 8.7, after the function went idle.
+    ARRIVALS = [0.0] + [6.25] * 9
+
+    def _run(self, interval_s):
+        autoscaler = dict(self.AUTOSCALER, evaluation_interval_s=interval_s)
+        args = ("gcp_run_like", autoscaler, None, self.ARRIVALS, 20.0, 0)
+        with _always_ticking():
+            expected = _standalone(*args)
+        with _counting_replays() as counted:
+            actual = _standalone(*args)
+        assert actual == expected
+        return actual[0]["instance_timeline"], counted.replayed
+
+    def test_window_shrinks_on_the_rounded_grid(self):
+        tick, sizes = 0.0, {}
+        scaler = PlatformSimulator(
+            _platform("gcp_run_like", self.AUTOSCALER, None),
+            PYAES_FUNCTION.to_function_config(1.0, 2.0),
+        )._autoscaler
+        for _ in range(40):
+            scaler.observe(tick, 0, 0)
+            sizes[round(tick, 6)] = len(scaler._times)
+            tick += 0.3
+        assert sizes[8.4] == 11 and sizes[8.7] == 10
+
+    def test_scale_up_from_a_shrinking_window_is_not_slept_through(self):
+        timeline, replayed = self._run(0.3)
+        assert replayed == 0
+        # Always ticking, the shrunk window asks for one more instance at
+        # t = 8.7 with no request around.
+        counts = dict((round(t, 6), count) for t, count in timeline)
+        assert counts[8.7] == counts[8.4] + 1
+
+    def test_exact_grid_still_sleeps(self):
+        assert self._run(0.25)[1] > 0
+
+    def test_preset_grids_are_exact(self):
+        function = PYAES_FUNCTION.to_function_config(1.0, 2.0)
+        for preset in AUTOSCALED_PRESETS:
+            scaler = PlatformSimulator(get_platform_preset(preset), function)._autoscaler
+            assert scaler.zero_samples_cannot_scale_up(1e9)
+        inexact = PlatformSimulator(
+            _platform("gcp_run_like", {"evaluation_interval_s": 0.3}, None), function
+        )._autoscaler
+        assert not inexact.zero_samples_cannot_scale_up(0.0)
 
 
 def test_unnamed_simulator_reading_the_admission_queue_never_sleeps():

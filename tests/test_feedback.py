@@ -151,6 +151,17 @@ class TestFeedbackChannel:
         assert channel.admission_state("fn-b/sandbox-0") is AdmissionState.REJECTED
         assert channel.admission_queue_depth() == 0
 
+    def test_prefix_depth_counts_only_its_own_sandboxes(self):
+        # Function ``a/b``'s sandboxes start with ``a/`` too, but are not ``a``'s.
+        bus = EventBus()
+        channel = FeedbackChannel().attach(bus)
+        bus.publish(SandboxQueued(1.0, "a/sandbox-000000", queue_depth=1))
+        bus.publish(SandboxQueued(1.0, "a/b/sandbox-000000", queue_depth=2))
+        bus.publish(SandboxQueued(1.0, "a/b/sandbox-000001", queue_depth=3))
+        assert channel.admission_queue_depth("a/") == 1
+        assert channel.admission_queue_depth("a/b/") == 2
+        assert channel.admission_queue_depth() == 3
+
     def test_gate_fires_once_on_resolution(self):
         bus = EventBus()
         channel = FeedbackChannel().attach(bus)

@@ -529,8 +529,10 @@ class _Scenario:
     #: process could keep one pending forever and an unbounded run would
     #: never end.
     MAX_REARMS = 40
-    #: Acting processes add processes on every tick; bounded for the same reason.
-    MAX_PROCESSES = 12
+    #: Acting processes may add processes on every tick; the ones added
+    #: from ticks are bounded for the same reason.  (Heap events add them
+    #: without a cap: there are at most ``MAX_SCHEDULED`` events.)
+    MAX_TICK_PROCESSES = 12
 
     def __init__(self, kernel, actions):
         self.kernel = kernel
@@ -538,6 +540,7 @@ class _Scenario:
         self.log = []
         self.handles = []
         self.processes = []
+        self.tick_processes = 0
         self.rearms = 0
         kernel.on("a", self._fire)
         kernel.on("b", self._fire)
@@ -555,9 +558,11 @@ class _Scenario:
         schedule = self.kernel.schedule_in if relative else self.kernel.schedule
         self.handles.append(schedule(time_s, kind, data))
 
-    def _add_process(self, spec):
-        if len(self.processes) >= self.MAX_PROCESSES:
-            return
+    def _add_process(self, spec, from_tick):
+        if from_tick:
+            if self.tick_processes >= self.MAX_TICK_PROCESSES:
+                return
+            self.tick_processes += 1
         name = f"p{len(self.processes)}"
         log = self.log
         if spec[0] == "periodic":
@@ -570,7 +575,7 @@ class _Scenario:
             def act(now):
                 log.append((name, now))
                 for action in actions:
-                    self.apply(action)
+                    self.apply(action, from_tick=True)
 
             process = PeriodicProcess(spec[1], act, start_s=spec[2])
         else:
@@ -587,7 +592,7 @@ class _Scenario:
             process.retarget(self.kernel.now, delay)
         self.kernel.rearm(process)
 
-    def apply(self, action):
+    def apply(self, action, from_tick=False):
         op = action[0]
         if op == "schedule":
             self._schedule(action[1], action[2], relative=True)
@@ -597,7 +602,7 @@ class _Scenario:
         elif op == "pause":
             self.kernel.pause()
         elif op == "add_process":
-            self._add_process(action[1])
+            self._add_process(action[1], from_tick)
         elif op == "rearm":
             self._rearm(action[1], action[2])
 
